@@ -320,11 +320,12 @@ int main(int argc, char** argv) {
   }
 
   // Fault-replanning cost: a DVFS degradation lands mid-stream and the next
-  // plan must price the new frequencies. Replan-cold flushes the plan cache
-  // and rebuilds every cost model from scratch (the pre-delta behaviour);
-  // Replan-delta repairs in place — scoped invalidation plus per-node
-  // repricing of exactly the changed node. Each measured cycle covers the
-  // event fan-out *and* the post-event plan, so the delta side's repair
+  // plan must price the new frequencies. Replan-delta is the strategy's event
+  // path — scoped invalidation plus per-node repricing of exactly the changed
+  // node. Replan-cold forwards each event stripped of its post-event cluster
+  // state, which sends the strategy down its wholesale fallback: the plan
+  // cache flushes and every cost model rebuilds. Each measured cycle covers
+  // the event fan-out *and* the post-event plan, so the delta side's repair
   // work is charged where it actually runs. The restore + re-warm step
   // between cycles is unmeasured (a DVFS recovery is an improvement, which
   // both configurations absorb with a wholesale flush by design).
@@ -337,10 +338,15 @@ int main(int argc, char** argv) {
       runtime::Cluster cluster(platform::paper_cluster());
       core::HidpStrategy::Options options;
       options.probe_availability = false;
-      options.delta_replanning = delta;
       core::HidpStrategy strategy(options);
-      cluster.add_observer(
-          [&strategy](const runtime::NodeEvent& event) { strategy.on_node_event(event); });
+      cluster.add_observer([&strategy, delta](const runtime::NodeEvent& event) {
+        runtime::NodeEvent forwarded = event;
+        if (!delta) {
+          forwarded.nodes = nullptr;
+          forwarded.network = nullptr;
+        }
+        strategy.on_node_event(forwarded);
+      });
       runtime::ClusterSnapshot cluster_snap;
       cluster_snap.nodes = &cluster.nodes();
       cluster_snap.network = cluster.network().spec();

@@ -24,8 +24,9 @@
 // must be bit-identical to the per-request path (exit codes 8/9).
 //
 // And incremental delta re-planning: the churn trace plus a bursty radio
-// collapse under failover, with plan/cost-model repair off vs on. Delta
-// must complete no fewer requests at an equal-or-lower p99 (exit code 10).
+// collapse under failover, answered by in-place plan/cost-model repair vs
+// by the cold wholesale flush. Delta must complete no fewer requests at an
+// equal-or-lower p99 (exit code 10).
 //
 // Output: a human-readable table on stdout plus BENCH_fleet.json in the
 // working directory. `--smoke` runs tiny request counts so CI can catch
@@ -92,9 +93,33 @@ struct RunTuning {
   // Pipelined steady-state serving (the stream study).
   bool pipeline = false;
   const dnn::DnnGraph* pipeline_stream_model = nullptr;
-  // Incremental delta re-planning (the delta-replan study): repair cached
-  // plans and cost models on churn/DVFS/link events instead of cold flushes.
-  bool delta_replanning = false;
+  // The cold arm of the delta-replan study: answer churn/DVFS/link events
+  // with wholesale flushes instead of in-place repair (ColdReplanStrategy).
+  bool cold_replanning = false;
+};
+
+/// Forwards to a strategy but strips the post-event cluster state from
+/// every node event, so the strategy cannot repair in place and takes its
+/// wholesale fallback: the plan cache flushes and cost models rebuild.
+class ColdReplanStrategy final : public runtime::IStrategy {
+ public:
+  explicit ColdReplanStrategy(runtime::IStrategy& inner) : inner_(&inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  runtime::PlanResult plan(const runtime::PlanRequest& request) override {
+    return inner_->plan(request);
+  }
+  bool supports_pipeline() const override { return inner_->supports_pipeline(); }
+  void on_node_event(const runtime::NodeEvent& event) override {
+    runtime::NodeEvent stripped = event;
+    stripped.nodes = nullptr;
+    stripped.network = nullptr;
+    inner_->on_node_event(stripped);
+  }
+  runtime::PlannerDeltaStats planner_stats() const override { return inner_->planner_stats(); }
+
+ private:
+  runtime::IStrategy* inner_;
 };
 
 FleetResult run_fleet(const std::string& config, std::size_t shard_count,
@@ -107,14 +132,17 @@ FleetResult run_fleet(const std::string& config, std::size_t shard_count,
                       std::vector<runtime::RequestRecord>* records_out = nullptr) {
   runtime::Cluster cluster(paired_cluster());
   std::vector<std::unique_ptr<core::HidpStrategy>> strategies;
+  std::vector<std::unique_ptr<ColdReplanStrategy>> cold_wrappers;
   std::vector<runtime::FleetShard> shards;
   const std::size_t span = 8 / shard_count;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    core::HidpStrategy::Options strategy_options;
-    strategy_options.delta_replanning = tuning.delta_replanning;
-    strategies.push_back(std::make_unique<core::HidpStrategy>(strategy_options));
+    strategies.push_back(std::make_unique<core::HidpStrategy>());
     runtime::FleetShard shard;
     shard.strategy = strategies.back().get();
+    if (tuning.cold_replanning) {
+      cold_wrappers.push_back(std::make_unique<ColdReplanStrategy>(*strategies.back()));
+      shard.strategy = cold_wrappers.back().get();
+    }
     for (std::size_t n = 0; n < span; ++n) shard.nodes.push_back(s * span + n);
     shard.leader = s * span + 1;  // the shard's TX2, per the paper convention
     shard.service.max_in_flight = tuning.max_in_flight;
@@ -127,7 +155,6 @@ FleetResult run_fleet(const std::string& config, std::size_t shard_count,
     shard.service.max_wait_s = tuning.max_wait_s;
     shard.service.pipeline.enabled = tuning.pipeline;
     shard.service.pipeline.stream_model = tuning.pipeline_stream_model;
-    shard.service.delta_replanning = tuning.delta_replanning;
     shards.push_back(std::move(shard));
   }
   runtime::FleetOptions options;
@@ -474,16 +501,16 @@ int main(int argc, char** argv) {
   }
 
   // Delta-replan failover study: the churn study's MTBF trace plus a
-  // Gilbert–Elliott radio burst over both shards' workers, failover on,
-  // with incremental delta re-planning off vs on. The cold configuration
-  // answers every event with a wholesale flush — each post-event request
-  // pays a fresh Explore+Map; the delta configuration repairs cost models
-  // in place (per-node repricing) and keeps cached entries whose plans the
-  // event provably cannot dethrone, so post-event requests replay cached
-  // plans at hit-path planning charges. Same events, same stream, same
-  // failover machinery — the contrast is purely the replanning path, so
-  // delta must complete no fewer requests at an equal-or-lower p99 (the
-  // exit-code contract below).
+  // Gilbert–Elliott radio burst over both shards' workers, failover on, with
+  // events answered by a cold flush vs by incremental delta repair. The cold
+  // configuration (ColdReplanStrategy) answers every event with a wholesale
+  // flush — each post-event request pays a fresh Explore+Map; the delta
+  // configuration repairs cost models in place (per-node repricing) and keeps
+  // cached entries whose plans the event provably cannot dethrone, so
+  // post-event requests replay cached plans at hit-path planning charges.
+  // Same events, same stream, same failover machinery — the contrast is
+  // purely the replanning path, so delta must complete no fewer requests at
+  // an equal-or-lower p99 (the exit-code contract below).
   const auto make_delta_degradation = [&]() {
     runtime::GilbertElliottDegradation::Options options;
     options.nodes = {0, 2, 3, 4, 6, 7};  // both shards' workers, leaders healthy
@@ -532,9 +559,11 @@ int main(int argc, char** argv) {
     auto dvfs_cold = make_dvfs_waves();
     auto degradation_cold = make_delta_degradation();
     auto heals_cold = make_delta_heals();
-    RunTuning cold_tuning;
-    cold_tuning.transfer_timeout_factor = 4.0;
-    cold_tuning.max_retries = 3;
+    RunTuning delta_tuning;
+    delta_tuning.transfer_timeout_factor = 4.0;
+    delta_tuning.max_retries = 3;
+    RunTuning cold_tuning = delta_tuning;
+    cold_tuning.cold_replanning = true;
     results.push_back(run_fleet("failover-cold-replan", 2, churn_stream, routing_cold,
                                 /*work_stealing=*/false,
                                 {&churn_cold, &repairs_cold, &dvfs_cold},
@@ -545,8 +574,6 @@ int main(int argc, char** argv) {
     auto dvfs_delta = make_dvfs_waves();
     auto degradation_delta = make_delta_degradation();
     auto heals_delta = make_delta_heals();
-    RunTuning delta_tuning = cold_tuning;
-    delta_tuning.delta_replanning = true;
     results.push_back(run_fleet("failover-delta-replan", 2, churn_stream, routing_delta,
                                 /*work_stealing=*/false,
                                 {&churn_delta, &repairs_delta, &dvfs_delta},

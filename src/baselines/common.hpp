@@ -24,12 +24,6 @@ struct PlanCacheOptions {
   std::size_t capacity = 256;
   /// Planning cost charged on a cache hit (a table lookup, not a search).
   double cached_planning_latency_s = 1e-4;
-  /// Repair cost models in place on churn/DVFS events instead of dropping
-  /// them (see core::CachingStrategyBase::CachePolicy::delta_replanning).
-  /// Baselines have no survival proof for their searches, so cached plan
-  /// entries are still dropped on events — only the cost-model memos are
-  /// repaired per node.
-  bool delta_replanning = false;
 };
 
 /// Base class of the three baselines. The plan cache and cost models
@@ -124,7 +118,6 @@ class BaselineStrategy : public core::CachingStrategyBase {
     policy.queue = queue;
     policy.fresh_explore_s = planning_latency_s;
     policy.hit_explore_s = cache_options.cached_planning_latency_s;
-    policy.delta_replanning = cache_options.delta_replanning;
     return policy;
   }
 

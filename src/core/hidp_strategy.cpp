@@ -13,7 +13,6 @@ CachingStrategyBase::CachePolicy HidpStrategy::make_policy(const Options& option
   policy.fresh_map_s = options.map_latency_s;
   policy.hit_explore_s = options.cached_explore_latency_s;
   policy.hit_map_s = options.cached_map_latency_s;
-  policy.delta_replanning = options.delta_replanning;
   return policy;
 }
 

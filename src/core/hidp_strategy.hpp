@@ -57,11 +57,6 @@ class HidpStrategy : public CachingStrategyBase {
     std::size_t plan_cache_capacity = 256;
     double cached_explore_latency_s = 0.0002;
     double cached_map_latency_s = 0.0001;
-    /// Repair cached plans and cost models in place on churn/DVFS/link
-    /// events instead of flushing them wholesale (see
-    /// CachePolicy::delta_replanning). Off by default; zero-event runs are
-    /// bit-identical either way.
-    bool delta_replanning = false;
   };
 
   HidpStrategy() : HidpStrategy(Options{}) {}

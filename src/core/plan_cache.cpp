@@ -53,7 +53,7 @@ bool CachingStrategyBase::entry_survives_degradation(const GlobalDecisionKey& ke
 }
 
 void CachingStrategyBase::on_node_event(const runtime::NodeEvent& event) {
-  if (policy_.delta_replanning && delta_repair(event)) return;
+  if (delta_repair(event)) return;
   switch (event.kind) {
     case runtime::NodeEvent::Kind::kDvfs:
       cache_.invalidate_entries();
@@ -73,7 +73,7 @@ bool CachingStrategyBase::delta_repair(const runtime::NodeEvent& event) {
   using Kind = runtime::NodeEvent::Kind;
   // Hand-made events carry no post-event cluster state; events for a
   // cluster this cache never planned against cannot be repaired either.
-  // Both fall back to the wholesale path (pre-delta behaviour).
+  // Both fall back to the wholesale path.
   if (event.nodes == nullptr || event.network == nullptr) return false;
   if (!cache_.anchored_to(event.nodes)) return false;
   switch (event.kind) {

@@ -338,32 +338,26 @@ class CachingStrategyBase : public runtime::IStrategy {
     double fresh_map_s = 0.0;      ///< Map charge on a cache miss
     double hit_explore_s = 0.0;    ///< Explore charge on a hit (table lookup)
     double hit_map_s = 0.0;        ///< Map charge on a hit
-    /// Repair caches and cost models in place on churn/DVFS/link events
-    /// instead of flushing them wholesale. Off by default: zero-event runs
-    /// are bit-identical either way, but event runs legitimately differ
-    /// (repaired state keeps serving hits a flush would have discarded).
-    bool delta_replanning = false;
   };
 
   runtime::PlanResult plan(const runtime::PlanRequest& request) final;
 
-  /// Churn notification (services forward Cluster node events here). A
-  /// DVFS change alters the compute model every cached plan and derived
-  /// cost model assumed; a link change (radio degradation, partition)
-  /// alters every boundary's beta — either way cached plans are dropped at
-  /// the event instant, and on_cluster_change relays the exact component
-  /// (kCompute vs kNetwork) so cost models invalidate granularly.
-  /// Availability changes keep the cache: keys carry the exact
-  /// availability mask, so plans for other membership states stay valid
-  /// (and flapping nodes don't flush everything).
+  /// Churn notification (services forward Cluster node events here),
+  /// answered at the event instant by in-place repair: degradations scope
+  /// the invalidation to entries the node can affect, DVFS changes re-price
+  /// only the changed node's cost-model rows (repair_compute), and node
+  /// departures re-key provably surviving entries onto the post-churn
+  /// availability mask.
   ///
-  /// With CachePolicy::delta_replanning set and the event carrying its
-  /// post-event cluster state, the wholesale drop is replaced by in-place
-  /// repair: degradations scope the invalidation to entries the node can
-  /// affect, DVFS changes re-price only the changed node's cost-model rows
-  /// (repair_compute), and node departures re-key provably surviving
-  /// entries onto the post-churn availability mask. Any missing
-  /// precondition falls back to the wholesale path above.
+  /// When repair is impossible — the event carries no post-event cluster
+  /// state, comes from a cluster the cache is not anchored to, or the
+  /// strategy has no repair_compute — the wholesale path runs instead: a
+  /// DVFS or link event drops every cached plan, and on_cluster_change
+  /// relays the exact component (kCompute vs kNetwork) so cost models
+  /// invalidate granularly. Availability changes keep the cache either
+  /// way: keys carry the exact availability mask, so plans for other
+  /// membership states stay valid (and flapping nodes don't flush
+  /// everything).
   void on_node_event(const runtime::NodeEvent& event) override;
 
   /// Delta-repair counters, aggregated service-side into ServiceStats.

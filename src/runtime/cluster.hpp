@@ -72,7 +72,7 @@ struct NodeEvent {
   // a strategy repairing its caches at event time must re-anchor its drift
   // detection (compute fingerprint, network spec) to the state the event
   // produced. Hand-made events leave them null — observers then fall back
-  // to wholesale invalidation, the pre-delta behaviour.
+  // to wholesale invalidation.
   const std::vector<platform::NodeModel>* nodes = nullptr;
   const net::NetworkSpec* network = nullptr;
 };

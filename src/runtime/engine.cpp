@@ -638,6 +638,16 @@ void ExecutionEngine::launch_run(const std::shared_ptr<RequestRun>& run, double 
           const double expected =
               run->planned_network.link(task.from, task.to).transfer_s(task.bytes);
           if (std::isfinite(expected)) timeout_s = expected * transfer_timeout_factor_;
+          // The link degraded past the watchdog budget since planning: the
+          // transfer would only time out, holding both radios (and fencing
+          // every transfer queued behind them) until it does. Fail the run
+          // into the replan path now.
+          if (timeout_s > 0.0 &&
+              cluster().network().spec().link(task.from, task.to).transfer_s(task.bytes) >
+                  timeout_s) {
+            fail_run(run);
+            return;
+          }
         }
         ++run->outstanding;
         cluster().network().transfer(

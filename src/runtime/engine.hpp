@@ -92,7 +92,7 @@ struct PlanResult {
 /// Delta re-planning counters: how churn/DVFS/link events were absorbed by
 /// in-place plan repair instead of cold replanning (see
 /// core::CachingStrategyBase). All-zero for strategies without a repair
-/// path, or with delta re-planning disabled.
+/// path.
 struct PlannerDeltaStats {
   std::uint64_t repaired_plans = 0;   ///< fresh plans off a repaired cost model
   std::uint64_t cold_replans = 0;     ///< fresh plans that paid a full rebuild

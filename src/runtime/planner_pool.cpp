@@ -138,8 +138,8 @@ void PlannerPool::worker_loop(Worker& worker) {
     worker.nodes = std::move(job->nodes);
     job->request.snapshot.nodes = &worker.nodes;
     // Replay missed events into the worker's strategy before planning —
-    // delta strategies repair their caches in place, others invalidate
-    // eagerly. The event's node pointer is re-anchored to the worker's
+    // strategies repair their caches in place, or invalidate eagerly when
+    // they have no repair path. The event's node pointer is re-anchored to the worker's
     // stable buffer (whose content includes every replayed event), so the
     // strategy's cache recognises it as its own cluster.
     for (const auto& record : replay) {

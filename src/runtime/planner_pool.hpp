@@ -66,9 +66,9 @@ class PlannerPool final : public PlanProvider {
   // PlanProvider (driver thread). Records the event — with a deep copy of
   // its post-event node/network state, since the live pointers are only
   // valid during the synchronous fan-out — so each worker replays it into
-  // its own strategy right before its next job. Worker strategies with
-  // delta re-planning then repair their caches in place; without it they
-  // invalidate eagerly. Events are sequenced against jobs: a worker applies
+  // its own strategy right before its next job. Worker strategies then
+  // repair their caches in place (or invalidate eagerly when they have no
+  // repair path). Events are sequenced against jobs: a worker applies
   // exactly the events its job's node copy already reflects. Shards sharing
   // the pool all relay the same event; duplicates dedupe on event.epoch.
   void on_node_event(const NodeEvent& event) override;

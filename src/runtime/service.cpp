@@ -97,12 +97,12 @@ void InferenceService::observe_cluster() {
       // The shard-held pipeline plan priced the pre-event cluster; drop it
       // so the next stream request replans on the survivors. A repair
       // event also clears the unplannable flag — more nodes may re-open a
-      // multi-stage cut. Delta re-planning scopes the drop: a degradation
-      // not touching the plan's nodes cannot change what it executes or
-      // costs, so the stream keeps riding it instead of paying a replan.
+      // multi-stage cut. The drop is scoped: a degradation not touching
+      // the plan's nodes cannot change what it executes or costs, so the
+      // stream keeps riding it instead of paying a replan.
       if (options_.pipeline.enabled) {
-        if (!options_.delta_replanning || !pipeline_plan_valid_ ||
-            event_is_improvement(event) || plan_touched_by(pipeline_plan_, event)) {
+        if (!pipeline_plan_valid_ || event_is_improvement(event) ||
+            plan_touched_by(pipeline_plan_, event)) {
           invalidate_pipeline_plan();
         } else {
           pipeline_unplannable_ = false;  // events may re-open a parked stream

@@ -159,13 +159,6 @@ struct ServiceOptions {
   /// member survives. false (default) keeps the seed park/evacuate
   /// behaviour.
   bool leader_reelection = false;
-  /// Delta re-planning at the service layer: scope the shard-held pipeline
-  /// plan's event invalidation to events that actually touch its nodes (an
-  /// untouched DVFS/link degradation keeps the plan streaming instead of
-  /// forcing a replan). Strategy-side delta repair is the strategy's own
-  /// knob (e.g. HidpStrategy::Options::delta_replanning); enable both for
-  /// the full delta path. false (default) = seed behaviour, bit-identical.
-  bool delta_replanning = false;
 };
 
 /// Per-QoS-class slice of the lifecycle counters. Balances like the
@@ -214,7 +207,7 @@ struct ServiceStats {
   std::size_t leader_reelections = 0;  ///< leaders promoted after leader death
   // Delta re-planning counters, mirrored from the strategy's
   // PlannerDeltaStats at every service state change (absolute values, not
-  // increments; all-zero without delta_replanning).
+  // increments; all-zero for strategies without a repair path).
   std::size_t repaired_plans = 0;         ///< fresh plans off a repaired cost model
   std::size_t cold_replans = 0;           ///< fresh plans paying a full rebuild
   std::size_t partial_repriced_rows = 0;  ///< cost-model rows per-node repriced

@@ -14,27 +14,8 @@ EventId Simulator::schedule_in(Time delay, std::function<void()> fn) {
   return schedule_at(now_ + std::max(delay, 0.0), std::move(fn));
 }
 
-bool Simulator::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  if (std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end()) return false;
-  cancelled_.push_back(id);
-  ++cancelled_in_queue_;
-  return true;
-}
-
-bool Simulator::prune_cancelled_top() {
-  while (!queue_.empty()) {
-    const auto it = std::find(cancelled_.begin(), cancelled_.end(), queue_.top().id);
-    if (it == cancelled_.end()) return true;
-    cancelled_.erase(it);
-    --cancelled_in_queue_;
-    queue_.pop();
-  }
-  return false;
-}
-
 bool Simulator::pop_and_run() {
-  if (!prune_cancelled_top()) return false;
+  if (queue_.empty()) return false;
   Event event = queue_.top();
   queue_.pop();
   now_ = event.at;
@@ -43,15 +24,15 @@ bool Simulator::pop_and_run() {
   return true;
 }
 
-std::optional<Time> Simulator::next_event_at() {
-  if (!prune_cancelled_top()) return std::nullopt;
+std::optional<Time> Simulator::next_event_at() const {
+  if (queue_.empty()) return std::nullopt;
   return queue_.top().at;
 }
 
 Time Simulator::run() {
   for (;;) {
     if (pump_ && !pump_()) break;
-    if (!prune_cancelled_top()) {
+    if (queue_.empty()) {
       if (!pump_) break;  // DES: drained means done
       // Real-time idle: block until a producer wakes us (or the liveness
       // bound elapses) rather than spinning on an empty queue.
@@ -70,7 +51,7 @@ Time Simulator::run() {
 
 Time Simulator::run_until(Time deadline) {
   for (;;) {
-    if (!prune_cancelled_top()) break;
+    if (queue_.empty()) break;
     const Time at = queue_.top().at;
     if (at > deadline) break;
     if (clock_->advance_to(at) < at) continue;

@@ -30,7 +30,7 @@ namespace hidp::sim {
 /// Simulation time in seconds.
 using Time = double;
 
-/// Opaque handle identifying a scheduled event (for cancellation).
+/// Handle identifying a scheduled event (its scheduling sequence number).
 using EventId = std::uint64_t;
 
 class Simulator {
@@ -48,9 +48,6 @@ class Simulator {
   /// Schedules `fn` to run `delay` seconds from now (negative -> now).
   EventId schedule_in(Time delay, std::function<void()> fn);
 
-  /// Cancels a pending event. Returns false if already fired / unknown.
-  bool cancel(EventId id);
-
   /// Runs until the event queue is empty (with a pump installed: until the
   /// pump returns false). Each event is paced through the clock first — the
   /// default VirtualClock jumps, a WallClock sleeps until the event's
@@ -67,8 +64,8 @@ class Simulator {
   bool step();
 
   /// Timestamp of the next pending event, or nullopt when the queue is
-  /// empty. Prunes cancelled events from the queue head.
-  std::optional<Time> next_event_at();
+  /// empty.
+  std::optional<Time> next_event_at() const;
 
   /// Installs the clock that paces run(). Defaults to an owned VirtualClock
   /// (pure DES, bit-identical to the pre-clock engine); pass nullptr to
@@ -88,8 +85,8 @@ class Simulator {
   /// Number of events executed so far.
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Number of pending (non-cancelled) events.
-  std::size_t pending() const noexcept { return queue_.size() - cancelled_in_queue_; }
+  /// Number of pending events.
+  std::size_t pending() const noexcept { return queue_.size(); }
 
  private:
   struct Event {
@@ -104,8 +101,6 @@ class Simulator {
     }
   };
 
-  /// Pops cancelled events off the queue head; true while one remains.
-  bool prune_cancelled_top();
   bool pop_and_run();
 
   /// Maximum idle block in run() when a pump is installed and the queue is
@@ -116,10 +111,8 @@ class Simulator {
   Time now_ = 0.0;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t cancelled_in_queue_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<EventId> cancelled_;  // sorted insertion not needed; small
-  VirtualClock virtual_clock_;      ///< default pacing: the classic DES
+  VirtualClock virtual_clock_;  ///< default pacing: the classic DES
   Clock* clock_ = &virtual_clock_;
   std::function<bool()> pump_;
 };

@@ -393,7 +393,7 @@ TEST(ChurnDeterminism, IdenticalSeedsProduceIdenticalChurnedRuns) {
   EXPECT_EQ(first_stats.retries, second_stats.retries);
 }
 
-TEST(ChurnPlanCache, DvfsEventInvalidatesEagerly) {
+TEST(ChurnPlanCache, DvfsEventRepairsEagerly) {
   Cluster cluster(platform::paper_cluster());
   core::HidpStrategy hidp;
   InferenceService service(cluster, hidp, 1);
@@ -401,14 +401,20 @@ TEST(ChurnPlanCache, DvfsEventInvalidatesEagerly) {
   service.submit(RequestSpec{0, &models.graph(ModelId::kVgg19), 0.0});
   service.run();
   const std::uint64_t epoch_before = hidp.plan_cache_epoch();
+  const std::size_t scoped_before = hidp.plan_cache_stats().scoped_invalidations;
   // The DVFS event propagates through the service's observer to the
-  // strategy at the event instant — no plan() call needed to notice.
-  cluster.set_dvfs_scale(0, 0.5);
-  EXPECT_GT(hidp.plan_cache_epoch(), epoch_before);
+  // strategy at the event instant — no plan() call needed to notice. The
+  // throttled leader is in the cached plan, so that entry drops (scoped,
+  // not a wholesale flush), and only the leader's cost-model rows are
+  // re-priced instead of rebuilding the cost model.
+  cluster.set_dvfs_scale(1, 0.5);
+  EXPECT_GT(hidp.plan_cache_stats().scoped_invalidations, scoped_before);
+  EXPECT_GT(hidp.plan_cache_stats().partial_repriced_rows, 0u);
+  EXPECT_EQ(hidp.cost_model_rebuilds(), 0u);
+  EXPECT_EQ(hidp.plan_cache_epoch(), epoch_before);
   // Availability churn keys the cache instead of flushing it.
-  const std::uint64_t epoch_after_dvfs = hidp.plan_cache_epoch();
   cluster.set_node_available(3, false);
-  EXPECT_EQ(hidp.plan_cache_epoch(), epoch_after_dvfs);
+  EXPECT_EQ(hidp.plan_cache_epoch(), epoch_before);
 }
 
 /// Leader death with re-election on: the surviving scope member with the

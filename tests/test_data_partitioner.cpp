@@ -106,7 +106,9 @@ TEST(DataPartitioner, SplitCandidateThinningSweep) {
     EXPECT_LE(static_cast<int>(thinned.size()), max) << "max=" << max;
     EXPECT_EQ(thinned.back(), dnn::data_partition_point(f.graph)) << "max=" << max;
     for (std::size_t i = 0; i < thinned.size(); ++i) {
-      if (i > 0) EXPECT_LT(thinned[i - 1], thinned[i]) << "max=" << max;  // sorted, no dups
+      if (i > 0) {
+        EXPECT_LT(thinned[i - 1], thinned[i]) << "max=" << max;  // sorted, no dups
+      }
       EXPECT_TRUE(std::find(full.begin(), full.end(), thinned[i]) != full.end())
           << "max=" << max << " candidate " << thinned[i] << " not a clean spatial cut";
     }

@@ -52,6 +52,12 @@ class AllToZeroRouting : public RoutingPolicy {
   bool routes_on_arrival() const override { return false; }
 };
 
+/// A shard spec with default service options.
+FleetShard shard_spec(IStrategy* strategy, std::vector<std::size_t> nodes,
+                      std::size_t leader = FleetShard::kAutoLeader) {
+  return FleetShard{strategy, std::move(nodes), leader, {}};
+}
+
 std::vector<platform::NodeModel> uniform_cluster(std::size_t n) {
   std::vector<platform::NodeModel> nodes;
   for (std::size_t i = 0; i < n; ++i) nodes.push_back(platform::make_device("Jetson TX2"));
@@ -64,18 +70,19 @@ TEST(FleetConstruction, RejectsInvalidTopologies) {
   LeaderLocalStrategy a(0.1), b(0.1);
   RoundRobinRouting routing;
   // Overlapping node sets.
-  EXPECT_THROW(ServiceFleet(cluster, {{&a, {0, 1}}, {&b, {1, 2}}}, routing),
+  EXPECT_THROW(ServiceFleet(cluster, {shard_spec(&a, {0, 1}), shard_spec(&b, {1, 2})}, routing),
                std::invalid_argument);
   // Shared strategy instance between shards.
-  EXPECT_THROW(ServiceFleet(cluster, {{&a, {0, 1}}, {&a, {2, 3}}}, routing),
+  EXPECT_THROW(ServiceFleet(cluster, {shard_spec(&a, {0, 1}), shard_spec(&a, {2, 3})}, routing),
                std::invalid_argument);
   // Whole-cluster shard in a multi-shard fleet.
-  EXPECT_THROW(ServiceFleet(cluster, {{&a, {}}, {&b, {2, 3}}}, routing),
+  EXPECT_THROW(ServiceFleet(cluster, {shard_spec(&a, {}), shard_spec(&b, {2, 3})}, routing),
                std::invalid_argument);
   // Leader outside the shard's node set.
-  EXPECT_THROW(ServiceFleet(cluster, {{&a, {0, 1}, 3}}, routing), std::invalid_argument);
+  EXPECT_THROW(ServiceFleet(cluster, {shard_spec(&a, {0, 1}, 3)}, routing), std::invalid_argument);
   // Null strategy / no shards.
-  EXPECT_THROW(ServiceFleet(cluster, {{nullptr, {0, 1}}}, routing), std::invalid_argument);
+  EXPECT_THROW(ServiceFleet(cluster, {shard_spec(nullptr, {0, 1})}, routing),
+               std::invalid_argument);
   EXPECT_THROW(ServiceFleet(cluster, {}, routing), std::invalid_argument);
 }
 
@@ -94,7 +101,7 @@ TEST(FleetConstruction, ShardViewScopesPlanningAndLeaders) {
   ModelSet models;
   LeaderLocalStrategy a(0.01), b(0.01);
   RoundRobinRouting routing;
-  ServiceFleet fleet(cluster, {{&a, {0, 1}}, {&b, {2, 3}}}, routing);
+  ServiceFleet fleet(cluster, {shard_spec(&a, {0, 1}), shard_spec(&b, {2, 3})}, routing);
   EXPECT_EQ(fleet.shard(0).engine().leader(), 0u);
   EXPECT_EQ(fleet.shard(1).engine().leader(), 2u);
   fleet.submit(RequestSpec{0, &models.graph(ModelId::kEfficientNetB0), 0.0});
@@ -109,7 +116,7 @@ TEST(FleetRouting, RoundRobinCyclesShards) {
   Cluster cluster(uniform_cluster(4));
   LeaderLocalStrategy a(0.01), b(0.01);
   RoundRobinRouting routing;
-  ServiceFleet fleet(cluster, {{&a, {0, 1}}, {&b, {2, 3}}}, routing);
+  ServiceFleet fleet(cluster, {shard_spec(&a, {0, 1}), shard_spec(&b, {2, 3})}, routing);
   const auto stream = periodic_stream(models.graph(ModelId::kEfficientNetB0), 8, 0.5);
   for (const auto& spec : stream) fleet.submit(spec);
   fleet.run();
@@ -142,7 +149,7 @@ TEST(FleetRouting, ModelAffinityIsStablePerModel) {
   Cluster cluster(uniform_cluster(4));
   LeaderLocalStrategy a(0.01), b(0.01);
   ModelAffinityRouting routing;
-  ServiceFleet fleet(cluster, {{&a, {0, 1}}, {&b, {2, 3}}}, routing);
+  ServiceFleet fleet(cluster, {shard_spec(&a, {0, 1}), shard_spec(&b, {2, 3})}, routing);
   int id = 0;
   for (int round = 0; round < 3; ++round) {
     fleet.submit(RequestSpec{id++, &models.graph(ModelId::kEfficientNetB0), 0.1 * round});
@@ -528,7 +535,7 @@ TEST(FleetFailover, ReassignValidatesAndMovesMembership) {
   Cluster cluster(uniform_cluster(4));
   LeaderLocalStrategy a(0.05), b(0.05);
   RoundRobinRouting routing;
-  ServiceFleet fleet(cluster, {{&a, {0, 1}}, {&b, {2, 3}}}, routing);
+  ServiceFleet fleet(cluster, {shard_spec(&a, {0, 1}), shard_spec(&b, {2, 3})}, routing);
   EXPECT_THROW(fleet.reassign(0, 1), std::invalid_argument);  // shard 0's leader
   EXPECT_THROW(fleet.reassign(1, 5), std::invalid_argument);  // shard out of range
   EXPECT_THROW(fleet.reassign(9, 1), std::invalid_argument);  // node out of range

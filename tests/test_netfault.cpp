@@ -504,6 +504,37 @@ TEST(EngineLinkFailure, PendingTransferOnDeadLinkFailsBeforeDispatch) {
   EXPECT_EQ(service.stats().completed, 1u);
 }
 
+TEST(EngineLinkFailure, PendingTransferOverWatchdogBudgetFailsAtStart) {
+  Cluster cluster(platform::paper_cluster());
+  // The transfer waits behind a 0.5 s leading compute; node 1's radio
+  // collapses at 0.3 while the transfer is still pending inside the engine.
+  LinkAwareStrategy strategy(/*lead_compute_s=*/0.5);
+  ServiceOptions options;
+  options.max_retries = 1;
+  options.transfer_timeout_factor = 2.0;
+  InferenceService service(cluster, strategy, 0, options);
+  ModelSet models;
+  service.submit(RequestSpec{0, &models.graph(ModelId::kEfficientNetB0), 0.0});
+  NetEvent collapse;
+  collapse.time_s = 0.3;
+  collapse.action = NetEvent::Action::kRadioScale;
+  collapse.node = 1;
+  collapse.bw_scale = 0.01;
+  ScriptedDegradation trace({collapse});
+  NetFaultInjector injector(cluster, trace);
+  injector.start();
+  const auto records = service.run();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].outcome, RequestOutcome::kCompleted);
+  // When the transfer starts (0.5) its live price is far over its 2x
+  // watchdog budget, so the run fails there instead of reserving both
+  // radios until the watchdog fires (~1.5): the local retry finishes at
+  // 0.5 + 0.2.
+  EXPECT_DOUBLE_EQ(records[0].finish_s, 0.7);
+  EXPECT_EQ(service.stats().retries, 1u);
+  EXPECT_EQ(service.stats().completed, 1u);
+}
+
 TEST(EngineLinkFailure, TransferTimeoutDetectsSilentDegradationAndReplans) {
   ModelSet models;
   const auto run_once = [&](double timeout_factor) {
@@ -596,34 +627,40 @@ TEST(GranularInvalidation, RadioScaleRepricesWithoutCostModelRebuild) {
   EXPECT_EQ(hidp.cost_model_rebuilds(), 0u);
   EXPECT_EQ(hidp.network_repricings(), 0u);
 
-  // Network-only change: the next plan re-points transfer pricing but
-  // keeps every compute memo.
-  cluster.set_radio_scale(0, 0.5, 1.0);
+  // Network-only change on the leader's radio: the cached plan touches the
+  // leader, so it drops at the event instant (scoped), and the next plan
+  // re-points transfer pricing but keeps every compute memo.
+  const std::size_t scoped_before = hidp.plan_cache_stats().scoped_invalidations;
+  cluster.set_radio_scale(1, 0.5, 1.0);
+  EXPECT_GT(hidp.plan_cache_stats().scoped_invalidations, scoped_before);
   service.submit(RequestSpec{1, &models.graph(ModelId::kVgg19), cluster.simulator().now() + 0.1});
   service.run();
   EXPECT_EQ(hidp.cost_model_rebuilds(), 0u);
   EXPECT_GE(hidp.network_repricings(), 1u);
   const std::uint64_t repricings_after_scale = hidp.network_repricings();
 
-  // Compute change: full rebuild, no extra repricing.
+  // Compute change: the node's cost-model rows are re-priced at the event
+  // instant — no rebuild, before or after the next plan, and no extra
+  // network repricing.
   cluster.set_dvfs_scale(0, 0.5);
+  EXPECT_GT(hidp.plan_cache_stats().partial_repriced_rows, 0u);
+  EXPECT_EQ(hidp.cost_model_rebuilds(), 0u);
   service.submit(RequestSpec{2, &models.graph(ModelId::kVgg19), cluster.simulator().now() + 0.1});
   service.run();
-  EXPECT_GE(hidp.cost_model_rebuilds(), 1u);
+  EXPECT_EQ(hidp.cost_model_rebuilds(), 0u);
   EXPECT_EQ(hidp.network_repricings(), repricings_after_scale);
 
   // Availability churn is part of the cache key: neither counter moves and
   // the plan cache keeps its epoch.
-  const std::uint64_t rebuilds = hidp.cost_model_rebuilds();
   const std::uint64_t epoch = hidp.plan_cache_epoch();
   cluster.set_node_available(3, false);
   cluster.set_node_available(3, true);
-  EXPECT_EQ(hidp.cost_model_rebuilds(), rebuilds);
+  EXPECT_EQ(hidp.cost_model_rebuilds(), 0u);
   EXPECT_EQ(hidp.network_repricings(), repricings_after_scale);
   EXPECT_EQ(hidp.plan_cache_epoch(), epoch);
 }
 
-TEST(GranularInvalidation, LinkEventFlushesPlanCacheEagerly) {
+TEST(GranularInvalidation, LinkEventScopesPlanCacheEagerly) {
   Cluster cluster(platform::paper_cluster());
   core::HidpStrategy hidp;
   InferenceService service(cluster, hidp, 1);
@@ -631,8 +668,12 @@ TEST(GranularInvalidation, LinkEventFlushesPlanCacheEagerly) {
   service.submit(RequestSpec{0, &models.graph(ModelId::kVgg19), 0.0});
   service.run();
   const std::uint64_t epoch = hidp.plan_cache_epoch();
-  cluster.set_link_up(0, 3, false);
-  EXPECT_GT(hidp.plan_cache_epoch(), epoch);
+  const std::size_t scoped_before = hidp.plan_cache_stats().scoped_invalidations;
+  // A partition of a link at the leader drops the cached plan (it touches
+  // the leader) at the event instant, without a wholesale flush.
+  cluster.set_link_up(1, 3, false);
+  EXPECT_GT(hidp.plan_cache_stats().scoped_invalidations, scoped_before);
+  EXPECT_EQ(hidp.plan_cache_epoch(), epoch);
 }
 
 TEST(GranularInvalidation, ProbeNoiseNeverLeaksIntoCacheKeys) {

@@ -2,12 +2,13 @@
 //
 // The delta path's contract is *provable equivalence*: a plan served off a
 // repaired cache / re-priced cost model must be bit-identical to the plan a
-// cold replan produces on the same post-event snapshot, and zero-event runs
-// must be bit-identical with the flag on or off. The tests drive a
-// delta-enabled and a delta-disabled HiDP strategy in lockstep over one
-// cluster through scripted DVFS, radio (Gilbert-Elliott style), link
-// partition and churn events, and pin the observability counters end to
-// end (cache stats -> ServiceStats).
+// cold replan produces on the same post-event snapshot. The tests drive a
+// HiDP strategy that observes one cluster through scripted DVFS, radio
+// (Gilbert-Elliott style), link partition and churn events, compare every
+// plan it serves against a freshly built strategy planning the same
+// snapshot, cover the wholesale fallback for events that cannot be
+// repaired, and pin the observability counters end to end (cache stats ->
+// ServiceStats).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,10 +31,9 @@ using core::GlobalDecisionKey;
 using core::HidpStrategy;
 using dnn::zoo::ModelId;
 
-core::HidpStrategy::Options delta_options(bool delta) {
+core::HidpStrategy::Options test_options() {
   core::HidpStrategy::Options options;
   options.probe_noise_fraction = 0.0;  // determinism across strategies
-  options.delta_replanning = delta;
   return options;
 }
 
@@ -86,25 +86,23 @@ void expect_plans_equal(const Plan& repaired, const Plan& cold, const char* what
   }
 }
 
-/// One delta-enabled and one delta-disabled strategy observing the same
-/// cluster: every plan call runs on both and the plans must agree.
+/// A strategy observing the cluster (repairing its state on every event)
+/// and the cold oracle: each plan it serves must equal the plan of a
+/// freshly built strategy — no cache, no cost models — on the same
+/// snapshot.
 struct LockstepPair {
-  explicit LockstepPair(Cluster& cluster)
-      : delta(delta_options(true)), cold(delta_options(false)) {
-    cluster.add_observer([this](const NodeEvent& event) {
-      delta.on_node_event(event);
-      cold.on_node_event(event);
-    });
+  explicit LockstepPair(Cluster& cluster) : delta(test_options()) {
+    cluster.add_observer([this](const NodeEvent& event) { delta.on_node_event(event); });
   }
   void plan_and_compare(const dnn::DnnGraph& model, Cluster& cluster, std::size_t leader,
                         const char* what) {
     const PlanRequest request = request_for(model, cluster, leader);
     const Plan delta_plan = delta.plan(request).plan;
+    HidpStrategy cold(test_options());
     const Plan cold_plan = cold.plan(request).plan;
     expect_plans_equal(delta_plan, cold_plan, what);
   }
   HidpStrategy delta;
-  HidpStrategy cold;
 };
 
 // ---- per-node cost-model repricing -----------------------------------------
@@ -176,9 +174,8 @@ TEST(DeltaEquivalence, DvfsDegradeAndRecoverMatchColdReplans) {
   for (const ModelId id : zoo) {
     pair.plan_and_compare(models.graph(id), cluster, 0, "post-recover");
   }
-  // The delta side actually took the repair path.
+  // The observing strategy actually took the repair path.
   EXPECT_GT(pair.delta.plan_cache_stats().partial_repriced_rows, 0u);
-  EXPECT_EQ(pair.cold.plan_cache_stats().partial_repriced_rows, 0u);
 }
 
 TEST(DeltaEquivalence, GilbertElliottRadioTraceMatchesColdReplans) {
@@ -243,6 +240,69 @@ TEST(DeltaEquivalence, ChurnDownAndRejoinMatchColdReplans) {
   }
 }
 
+// ---- wholesale fallback -----------------------------------------------------
+//
+// Events that cannot be repaired still reach the strategy: they flush the
+// plan cache wholesale and a DVFS change rebuilds the cost models.
+
+TEST(WholesaleFallback, EventWithoutClusterStateFlushesAndRebuilds) {
+  Cluster cluster(platform::paper_cluster());
+  ModelSet models;
+  const dnn::DnnGraph& graph = models.graph(ModelId::kResNet152);
+  HidpStrategy strategy(test_options());  // not observing the cluster
+  strategy.plan(request_for(graph, cluster, 0));
+
+  // A hand-made event carries no post-event cluster state.
+  cluster.set_dvfs_scale(4, 0.7);
+  NodeEvent dvfs;
+  dvfs.kind = NodeEvent::Kind::kDvfs;
+  dvfs.node = 4;
+  dvfs.dvfs_scale = 0.7;
+  dvfs.prev_dvfs_scale = 1.0;
+  ASSERT_EQ(dvfs.nodes, nullptr);
+  const std::uint64_t epoch = strategy.plan_cache_epoch();
+  strategy.on_node_event(dvfs);
+  EXPECT_GT(strategy.plan_cache_epoch(), epoch);
+  EXPECT_EQ(strategy.cost_model_rebuilds(), 1u);
+  EXPECT_EQ(strategy.plan_cache_stats().partial_repriced_rows, 0u);
+  EXPECT_EQ(strategy.plan_cache_stats().scoped_invalidations, 0u);
+  HidpStrategy fresh(test_options());
+  expect_plans_equal(strategy.plan(request_for(graph, cluster, 0)).plan,
+                     fresh.plan(request_for(graph, cluster, 0)).plan, "post-dvfs");
+
+  // A link event flushes too, keeping the compute memos.
+  cluster.set_radio_scale(3, 0.4, 1.5);
+  NodeEvent link;
+  link.kind = NodeEvent::Kind::kLink;
+  link.node = 3;
+  link.bw_scale = 0.4;
+  link.latency_scale = 1.5;
+  const std::uint64_t epoch_before_link = strategy.plan_cache_epoch();
+  strategy.on_node_event(link);
+  EXPECT_GT(strategy.plan_cache_epoch(), epoch_before_link);
+  EXPECT_EQ(strategy.cost_model_rebuilds(), 1u);
+  EXPECT_EQ(strategy.plan_cache_stats().scoped_invalidations, 0u);
+}
+
+TEST(WholesaleFallback, EventFromForeignClusterFlushesAndRebuilds) {
+  Cluster cluster(platform::paper_cluster());
+  Cluster other(platform::paper_cluster());
+  ModelSet models;
+  const dnn::DnnGraph& graph = models.graph(ModelId::kResNet152);
+  HidpStrategy strategy(test_options());
+  other.add_observer([&strategy](const NodeEvent& event) { strategy.on_node_event(event); });
+  strategy.plan(request_for(graph, cluster, 0));
+
+  // The event carries post-event state, but of a cluster the cache was
+  // never anchored to.
+  const std::uint64_t epoch = strategy.plan_cache_epoch();
+  other.set_dvfs_scale(4, 0.7);
+  EXPECT_GT(strategy.plan_cache_epoch(), epoch);
+  EXPECT_EQ(strategy.cost_model_rebuilds(), 1u);
+  EXPECT_EQ(strategy.plan_cache_stats().partial_repriced_rows, 0u);
+  EXPECT_EQ(strategy.plan_cache_stats().scoped_invalidations, 0u);
+}
+
 // ---- node-down re-keying ----------------------------------------------------
 
 TEST(DeltaRekey, SurvivingEntryServesHitAfterNodeDeparture) {
@@ -257,8 +317,8 @@ TEST(DeltaRekey, SurvivingEntryServesHitAfterNodeDeparture) {
   ModelSet models;
   const dnn::DnnGraph& graph = models.graph(ModelId::kEfficientNetB0);
 
-  HidpStrategy delta(delta_options(true));
-  HidpStrategy cold(delta_options(false));
+  HidpStrategy delta(test_options());
+  HidpStrategy cold(test_options());
   cluster.add_observer([&](const NodeEvent& event) { delta.on_node_event(event); });
 
   const Plan before = delta.plan(request_for(graph, cluster, 0)).plan;
@@ -355,53 +415,37 @@ TEST(ScopedInvalidation, RekeyCopiesEligibleEntriesUnderClearedMask) {
   EXPECT_EQ(again, 0u);
 }
 
-// ---- zero-event bit-identity and stats propagation --------------------------
+// ---- zero-event runs and stats propagation ----------------------------------
 
-TEST(DeltaZeroEvent, ServiceRunBitIdenticalWithFlagOn) {
+TEST(DeltaZeroEvent, ServiceRunDoesNoRepairWork) {
   ModelSet models;
-  const auto run_once = [&](bool delta) {
-    Cluster cluster(platform::paper_cluster());
-    HidpStrategy strategy(delta_options(delta));
-    ServiceOptions options;
-    options.delta_replanning = delta;
-    options.max_in_flight = 2;
-    InferenceService service(cluster, strategy, /*leader=*/1, options);
-    PoissonArrivals::Options poisson;
-    poisson.rate_hz = 40.0;
-    poisson.count = 30;
-    poisson.seed = 11;
-    PoissonArrivals arrivals(models, {ModelId::kEfficientNetB0, ModelId::kResNet152},
-                             poisson);
-    service.attach(&arrivals);
-    auto records = service.run();
-    return std::make_pair(std::move(records), strategy.plan_cache_stats());
-  };
-  const auto [on, on_stats] = run_once(true);
-  const auto [off, off_stats] = run_once(false);
-  ASSERT_EQ(on.size(), 30u);
-  ASSERT_EQ(on.size(), off.size());
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    EXPECT_EQ(on[i].id, off[i].id);
-    EXPECT_EQ(on[i].outcome, off[i].outcome);
-    EXPECT_DOUBLE_EQ(on[i].arrival_s, off[i].arrival_s);
-    EXPECT_DOUBLE_EQ(on[i].dispatch_s, off[i].dispatch_s);
-    EXPECT_DOUBLE_EQ(on[i].finish_s, off[i].finish_s);
-    EXPECT_DOUBLE_EQ(on[i].flops, off[i].flops);
-  }
-  EXPECT_EQ(on_stats.hits, off_stats.hits);
-  EXPECT_EQ(on_stats.misses, off_stats.misses);
-  // Without events there is nothing to repair or scope.
-  EXPECT_EQ(on_stats.scoped_invalidations, 0u);
-  EXPECT_EQ(on_stats.rekeyed_entries, 0u);
-  EXPECT_EQ(on_stats.partial_repriced_rows, 0u);
+  Cluster cluster(platform::paper_cluster());
+  HidpStrategy strategy(test_options());
+  ServiceOptions options;
+  options.max_in_flight = 2;
+  InferenceService service(cluster, strategy, /*leader=*/1, options);
+  PoissonArrivals::Options poisson;
+  poisson.rate_hz = 40.0;
+  poisson.count = 30;
+  poisson.seed = 11;
+  PoissonArrivals arrivals(models, {ModelId::kEfficientNetB0, ModelId::kResNet152}, poisson);
+  service.attach(&arrivals);
+  const auto records = service.run();
+  ASSERT_EQ(records.size(), 30u);
+  // Without events there is nothing to repair, scope or flush.
+  const core::DecisionCacheStats& stats = strategy.plan_cache_stats();
+  EXPECT_GE(stats.hits, 1u);
+  EXPECT_EQ(stats.invalidations, 0u);
+  EXPECT_EQ(stats.scoped_invalidations, 0u);
+  EXPECT_EQ(stats.rekeyed_entries, 0u);
+  EXPECT_EQ(stats.partial_repriced_rows, 0u);
+  EXPECT_EQ(service.stats().repaired_plans, 0u);
 }
 
 TEST(DeltaStats, PlannerCountersSurfaceInServiceStats) {
   Cluster cluster(platform::paper_cluster());
-  HidpStrategy strategy(delta_options(true));
-  ServiceOptions options;
-  options.delta_replanning = true;
-  InferenceService service(cluster, strategy, /*leader=*/0, options);
+  HidpStrategy strategy(test_options());
+  InferenceService service(cluster, strategy, /*leader=*/0);
   ModelSet models;
   service.submit(RequestSpec{0, &models.graph(ModelId::kEfficientNetB0), 0.0});
   service.submit(RequestSpec{1, &models.graph(ModelId::kEfficientNetB0), 1.0});

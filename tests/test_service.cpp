@@ -347,7 +347,9 @@ TEST(PoissonArrivalsSource, DeterministicSortedAndBounded) {
     EXPECT_EQ(stream[i].arrival_s, twin->arrival_s);
     EXPECT_EQ(stream[i].id, static_cast<int>(i));
     EXPECT_DOUBLE_EQ(stream[i].deadline_s, stream[i].arrival_s + 0.5);
-    if (i > 0) EXPECT_GE(stream[i].arrival_s, stream[i - 1].arrival_s);
+    if (i > 0) {
+      EXPECT_GE(stream[i].arrival_s, stream[i - 1].arrival_s);
+    }
   }
   // Mean inter-arrival ~ 1/rate.
   const double horizon = stream.back().arrival_s - stream.front().arrival_s;

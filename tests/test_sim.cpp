@@ -52,16 +52,6 @@ TEST(Simulator, PastEventsClampToNow) {
   EXPECT_DOUBLE_EQ(fired_at, 4.0);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  bool fired = false;
-  const EventId id = sim.schedule_at(1.0, [&] { fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  EXPECT_FALSE(sim.cancel(id));  // double cancel rejected
-  sim.run();
-  EXPECT_FALSE(fired);
-}
-
 TEST(Simulator, RunUntilStopsAtDeadline) {
   Simulator sim;
   int fired = 0;

@@ -203,7 +203,9 @@ TEST(OmniboostStrategy, PipelinesAcrossProcessors) {
   int previous = -1;
   for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
     if (plan.tasks[i].kind != runtime::PlanTask::Kind::kCompute) continue;
-    if (previous >= 0) EXPECT_FALSE(plan.tasks[i].deps.empty());
+    if (previous >= 0) {
+      EXPECT_FALSE(plan.tasks[i].deps.empty());
+    }
     previous = static_cast<int>(i);
   }
 }
@@ -293,7 +295,9 @@ TEST(BaselinePlanCache, EmptyAvailabilityDoesNotAliasAllDown) {
   const Plan plan = plan_once(modnn, graph, leader_only);
   EXPECT_EQ(modnn.plan_cache_stats().hits, 0u);
   for (const auto& task : plan.tasks) {
-    if (task.kind == runtime::PlanTask::Kind::kCompute) EXPECT_EQ(task.node, 0u);
+    if (task.kind == runtime::PlanTask::Kind::kCompute) {
+      EXPECT_EQ(task.node, 0u);
+    }
   }
 }
 
@@ -314,7 +318,9 @@ TEST(BaselinePlanCache, ClusterChangeInvalidates) {
   EXPECT_NO_THROW(runtime::validate_plan(plan, smaller));
   EXPECT_EQ(disnet.plan_cache_stats().invalidations, 1u);
   for (const auto& task : plan.tasks) {
-    if (task.kind == runtime::PlanTask::Kind::kCompute) EXPECT_LT(task.node, smaller.size());
+    if (task.kind == runtime::PlanTask::Kind::kCompute) {
+      EXPECT_LT(task.node, smaller.size());
+    }
   }
 }
 
