@@ -20,7 +20,7 @@ int main() {
   const platform::NodeModel tx2 = platform::make_jetson_tx2();
   util::Table table("Fig. 1 — normalized local inference latency on Jetson TX2 (P1 = 1.00)");
   std::vector<std::string> header{"model"};
-  for (int p = 1; p <= 9; ++p) header.push_back("P" + std::to_string(p));
+  for (int p = 1; p <= 9; ++p) header.push_back(std::string("P").append(std::to_string(p)));
   header.push_back("best");
   header.push_back("vs P1");
   table.set_header(header);
@@ -42,7 +42,7 @@ int main() {
       if (latency[i] < latency[best]) best = i;
     }
     row.push_back(configs[best].label);
-    row.push_back("-" + util::fmt_pct((p1 - latency[best]) / p1, 1));
+    row.push_back(std::string("-").append(util::fmt_pct((p1 - latency[best]) / p1, 1)));
     table.add_row(row);
   }
   std::printf("%s\n", table.to_string().c_str());

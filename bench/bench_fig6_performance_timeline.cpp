@@ -79,7 +79,9 @@ int main() {
   for (const auto& name : bench::strategy_names()) {
     const double rate = total_delivered / runs[name].metrics.makespan_s / 1e9;
     summary.add_row({name, util::fmt(runs[name].metrics.makespan_s, 2), util::fmt(rate, 1),
-                     name == "HiDP" ? "-" : "+" + util::fmt_pct((hidp_rate - rate) / rate)});
+                     name == "HiDP" ? std::string("-")
+                                    : std::string("+").append(
+                                          util::fmt_pct((hidp_rate - rate) / rate))});
   }
   std::printf("%s\n", summary.to_string().c_str());
   std::printf("Paper: HiDP completes all inferences within 5 s; 39/54/56%% higher\n"

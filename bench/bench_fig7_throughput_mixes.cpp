@@ -55,9 +55,9 @@ int main() {
     for (std::size_t m = 0; m < mixes.size(); ++m) {
       const double g = (throughput["HiDP"][m] - throughput[name][m]) / throughput[name][m];
       gains.push_back(g);
-      row.push_back("+" + util::fmt_pct(g, 0));
+      row.push_back(std::string("+").append(util::fmt_pct(g, 0)));
     }
-    row.push_back("+" + util::fmt_pct(util::mean(gains), 0));
+    row.push_back(std::string("+").append(util::fmt_pct(util::mean(gains), 0)));
     gain.add_row(row);
   }
   std::printf("%s\n", gain.to_string().c_str());

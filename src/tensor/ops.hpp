@@ -1,4 +1,4 @@
-// Window-aware reference implementations of every LayerKind.
+// Window-aware kernels for every LayerKind.
 //
 // Each op computes output rows [out_begin, out_end) (global coordinates)
 // from input RowWindows, so the same code path executes whole tensors
@@ -6,6 +6,15 @@
 // Running both through identical arithmetic makes whole-vs-partitioned
 // comparisons bit-exact for everything except SqueezeExcite's partial-sum
 // reduction, which is associativity-sensitive (tested with tolerance).
+//
+// The spatial kernels are direct: one window check per call, then raw row
+// pointers. Convolutions accumulate 8 output channels x 4 output columns
+// at a time, and a 1x1 convolution is one matrix product over contiguous
+// channel planes (shared with dense layers and the SqueezeExcite gate).
+// Every output element still sums in the order of the plain scalar loops
+// (bias, then ic, ky, kx ascending), so the kernels reproduce those loops
+// bit for bit up to the sign of a zero. The loops live on as the test
+// oracle in tests/oracle_kernels.hpp. No threads, no packed weight copies.
 #pragma once
 
 #include "dnn/layer.hpp"

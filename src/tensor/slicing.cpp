@@ -1,5 +1,6 @@
 #include "tensor/slicing.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hidp::tensor {
@@ -162,13 +163,12 @@ Tensor PartitionedExecutor::run_with_bands(const Tensor& input,
   Tensor gathered(graph.layer(target).output);
   for (std::size_t s = 0; s < sigma; ++s) {
     const RowRange band = bands[s];
+    if (band.empty()) continue;
     const RowWindow& window = windows[s][static_cast<std::size_t>(target)];
+    window.require_rows(band.begin, band.end);
     for (int c = 0; c < gathered.channels(); ++c) {
-      for (int y = band.begin; y < band.end; ++y) {
-        for (int x = 0; x < gathered.width(); ++x) {
-          gathered.at(c, y, x) = window.at_global(c, y, x);
-        }
-      }
+      std::copy_n(window.row(c, band.begin), band.size() * gathered.width(),
+                  &gathered.at(c, band.begin, 0));
     }
   }
 

@@ -1,5 +1,6 @@
 #include "tensor/tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -44,14 +45,12 @@ bool Tensor::allclose(const Tensor& other, double atol, double rtol) const noexc
   return true;
 }
 
-float RowWindow::at_global(int c, int global_y, int x) const {
-  if (global_y < 0 || global_y >= full_height) return 0.0f;  // zero padding
-  if (x < 0 || x >= data.width()) return 0.0f;
-  const int local = global_y - row_offset;
-  if (local < 0 || local >= data.height()) {
+void RowWindow::require_rows(int global_begin, int global_end) const {
+  const int lo = std::max(global_begin, 0);
+  const int hi = std::min(global_end, full_height);
+  if (lo < hi && (lo < begin() || hi > end())) {
     throw std::logic_error("RowWindow: read outside materialised rows (slicing bug)");
   }
-  return data.at(c, local, x);
 }
 
 }  // namespace hidp::tensor

@@ -1,8 +1,9 @@
-// Minimal CHW float tensor used by the reference executor.
+// Minimal CHW float tensor used by the tensor executors.
 //
-// This is deliberately a correctness tool, not a performance library: it
-// exists to prove that HiDP's partitioned execution produces outputs
+// It exists to prove that HiDP's partitioned execution produces outputs
 // identical to whole-model execution (the paper's §IV-B accuracy claim).
+// The kernels in ops.hpp read it through raw row pointers after one window
+// check per call (RowWindow::require_rows).
 #pragma once
 
 #include <cstdint>
@@ -63,7 +64,8 @@ class Tensor {
 /// A tensor holding only rows [row_offset, row_offset + data.height) of a
 /// logically full_height-tall activation — the unit data-partitioned
 /// execution operates on. Reads outside the window but inside
-/// [0, full_height) indicate a slicing bug and are reported loudly.
+/// [0, full_height) indicate a slicing bug and are reported loudly;
+/// rows outside [0, full_height) are zero padding.
 struct RowWindow {
   Tensor data;
   int row_offset = 0;
@@ -72,10 +74,21 @@ struct RowWindow {
   int begin() const noexcept { return row_offset; }
   int end() const noexcept { return row_offset + data.height(); }
 
-  /// Element access in *global* row coordinates. Rows outside
-  /// [0, full_height) read as zero padding; rows inside the tensor but
-  /// outside this window throw std::logic_error.
-  float at_global(int c, int global_y, int x) const;
+  /// The one window check a kernel makes before reading rows through
+  /// row(), in *global* row coordinates: throws std::logic_error unless
+  /// every row of [global_begin, global_end) that lies inside
+  /// [0, full_height) is materialised. Rows outside the tensor are zero
+  /// padding and pass.
+  void require_rows(int global_begin, int global_end) const;
+
+  /// Channel c's row global_y, which must lie inside [begin(), end()):
+  /// unchecked, for kernels that called require_rows first.
+  const float* row(int c, int global_y) const noexcept {
+    return data.data() +
+           (static_cast<std::size_t>(c) * static_cast<std::size_t>(data.height()) +
+            static_cast<std::size_t>(global_y - row_offset)) *
+               static_cast<std::size_t>(data.width());
+  }
 
   /// Wraps a full tensor as its own window.
   static RowWindow full(Tensor t) {

@@ -1,8 +1,15 @@
-// Unit tests for the reference tensor ops (hand-computed golden values).
+// Unit tests for the tensor ops: hand-computed golden values, a seeded
+// property test holding the direct window kernels bit-identical to the
+// scalar oracle loops, and the window check that catches slicing bugs.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
 
+#include "oracle_kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace hidp::tensor {
@@ -61,11 +68,18 @@ TEST(RowWindow, GlobalAccessAndPadding) {
   w.data = t;
   w.row_offset = 3;
   w.full_height = 8;
-  EXPECT_FLOAT_EQ(w.at_global(0, 3, 0), 7.0f);
-  EXPECT_FLOAT_EQ(w.at_global(0, -1, 0), 0.0f);  // zero pad above tensor
-  EXPECT_FLOAT_EQ(w.at_global(0, 8, 0), 0.0f);   // zero pad below tensor
-  EXPECT_FLOAT_EQ(w.at_global(0, 3, -1), 0.0f);  // width pad
-  EXPECT_THROW(w.at_global(0, 1, 0), std::logic_error);  // inside tensor, outside window
+  EXPECT_FLOAT_EQ(w.row(0, 3)[0], 7.0f);
+  EXPECT_NO_THROW(w.require_rows(3, 5));
+  EXPECT_NO_THROW(w.require_rows(-2, 0));  // zero pad above tensor
+  EXPECT_NO_THROW(w.require_rows(8, 10));  // zero pad below tensor
+  EXPECT_THROW(w.require_rows(1, 4), std::logic_error);  // inside tensor, outside window
+  EXPECT_THROW(w.require_rows(4, 9), std::logic_error);
+  // The oracle's element read keeps the same contract.
+  EXPECT_FLOAT_EQ(oracle::at_global(w, 0, 3, 0), 7.0f);
+  EXPECT_FLOAT_EQ(oracle::at_global(w, 0, -1, 0), 0.0f);  // zero pad above tensor
+  EXPECT_FLOAT_EQ(oracle::at_global(w, 0, 8, 0), 0.0f);   // zero pad below tensor
+  EXPECT_FLOAT_EQ(oracle::at_global(w, 0, 3, -1), 0.0f);  // width pad
+  EXPECT_THROW(oracle::at_global(w, 0, 1, 0), std::logic_error);
 }
 
 TEST(Ops, Conv1x1IsChannelMix) {
@@ -251,6 +265,271 @@ TEST(Ops, ActivationsApplied) {
   Tensor sig = t;
   apply_activation(sig, Activation::kSigmoid);
   EXPECT_NEAR(sig.at(0, 0, 1), 1.0f / (1.0f + std::exp(-3.0f)), 1e-6);
+}
+
+// ---- direct kernels vs the scalar oracle -----------------------------------
+
+struct WindowCase {
+  LayerKind kind = LayerKind::kConv2D;
+  int in_c = 1, out_c = 1, height = 1, width = 1;
+  int kernel = 1, kernel_w = 0, stride = 1, padding = 0;
+  bool same = true;
+  Activation act = Activation::kNone;
+
+  std::string describe() const {
+    std::ostringstream os;
+    os << "kind=" << static_cast<int>(kind) << " in_c=" << in_c << " out_c=" << out_c
+       << " h=" << height << " w=" << width << " k=" << kernel << "x"
+       << (kernel_w > 0 ? kernel_w : kernel) << " s=" << stride
+       << (same ? " same" : " pad=") << (same ? "" : std::to_string(padding));
+    return os.str();
+  }
+};
+
+/// The case's layer, or false when valid padding leaves no output.
+bool make_layer(const WindowCase& wc, Layer& l) {
+  l.kind = wc.kind;
+  l.params.kernel = wc.kernel;
+  l.params.kernel_w = wc.kernel_w;
+  l.params.stride = wc.stride;
+  l.params.padding = wc.padding;
+  l.params.same_padding = wc.same;
+  l.params.out_channels = wc.kind == LayerKind::kConv2D ? wc.out_c : 0;
+  l.params.activation = wc.act;
+  const int kw = l.params.kernel_width();
+  if (!wc.same && (wc.height + 2 * wc.padding < wc.kernel || wc.width + 2 * wc.padding < kw)) {
+    return false;
+  }
+  l.output = dnn::infer_output_shape(l.kind, l.params, {dnn::Shape{wc.in_c, wc.height, wc.width}});
+  return true;
+}
+
+LayerWeights random_weights(const WindowCase& wc, util::Rng& rng) {
+  const int kw = wc.kernel_w > 0 ? wc.kernel_w : wc.kernel;
+  const int filters = wc.kind == LayerKind::kConv2D ? wc.out_c : wc.in_c;
+  const int fan_in = wc.kind == LayerKind::kConv2D ? wc.in_c : 1;
+  LayerWeights w;
+  w.conv = Tensor::random(dnn::Shape{1, 1, filters * fan_in * wc.kernel * kw}, rng);
+  if (rng.uniform(0.0, 1.0) < 0.7) {
+    for (int i = 0; i < filters; ++i) w.bias.push_back(static_cast<float>(rng.uniform(-1, 1)));
+  }
+  return w;
+}
+
+/// Bit patterns equal, with +0 and -0 treated as the same value.
+bool same_bits(const Tensor& a, const Tensor& b, std::string& where) {
+  if (!(a.shape() == b.shape())) {
+    where = "shape";
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const float x = a.data()[i] == 0.0f ? 0.0f : a.data()[i];
+    const float y = b.data()[i] == 0.0f ? 0.0f : b.data()[i];
+    if (std::bit_cast<std::uint32_t>(x) != std::bit_cast<std::uint32_t>(y)) {
+      where = "element " + std::to_string(i) + ": " + std::to_string(a.data()[i]) + " vs " +
+              std::to_string(b.data()[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Runs the kernel and the oracle on the full window and on row bands with
+/// their halos (exact, and widened by a spare row where the tensor has one).
+void expect_matches_oracle(const WindowCase& wc, util::Rng& rng) {
+  Layer l;
+  if (!make_layer(wc, l)) return;
+  const LayerWeights w = random_weights(wc, rng);
+  const Tensor full = Tensor::random(dnn::Shape{wc.in_c, wc.height, wc.width}, rng);
+  const int out_h = l.output.height;
+  const int kh = l.params.kernel;
+  const int pad_h = dnn::resolved_padding(l.params, wc.height);
+
+  auto check = [&](const RowWindow& window, int ob, int oe, const char* label) {
+    Tensor got, want;
+    switch (wc.kind) {
+      case LayerKind::kConv2D:
+        got = conv2d_rows(l, window, w, ob, oe);
+        want = oracle::conv2d_rows(l, window, w, ob, oe);
+        break;
+      case LayerKind::kDepthwiseConv2D:
+        got = depthwise_conv2d_rows(l, window, w, ob, oe);
+        want = oracle::depthwise_conv2d_rows(l, window, w, ob, oe);
+        break;
+      default: {
+        const bool max_pool = wc.kind == LayerKind::kMaxPool2D;
+        got = pool2d_rows(l, window, ob, oe, max_pool);
+        want = oracle::pool2d_rows(l, window, ob, oe, max_pool);
+      }
+    }
+    std::string where;
+    EXPECT_TRUE(same_bits(got, want, where))
+        << wc.describe() << " " << label << " rows [" << ob << "," << oe << "): " << where;
+  };
+
+  check(RowWindow::full(full), 0, out_h, "full");
+  for (int band = 0; band < 3; ++band) {
+    const int ob = static_cast<int>(rng.uniform_int(0, out_h - 1));
+    const int oe = static_cast<int>(rng.uniform_int(ob + 1, out_h));
+    int lo = std::max(0, ob * wc.stride - pad_h);
+    int hi = std::min(wc.height, (oe - 1) * wc.stride - pad_h + kh);
+    if (band == 2) {  // a spare halo row on each side, where the tensor has one
+      lo = std::max(0, lo - 1);
+      hi = std::min(wc.height, hi + 1);
+    }
+    if (lo >= hi) continue;  // the band reads only padding
+    RowWindow window;
+    window.data = full.rows(lo, hi);
+    window.row_offset = lo;
+    window.full_height = wc.height;
+    check(window, ob, oe, "band");
+  }
+}
+
+WindowCase random_case(util::Rng& rng) {
+  static const LayerKind kKinds[] = {LayerKind::kConv2D, LayerKind::kConv2D,
+                                     LayerKind::kDepthwiseConv2D, LayerKind::kMaxPool2D,
+                                     LayerKind::kAvgPool2D};
+  static const Activation kActs[] = {Activation::kNone, Activation::kRelu, Activation::kSwish};
+  static const int kKernels[] = {1, 3, 5, 7};
+  WindowCase wc;
+  wc.kind = kKinds[rng.uniform_int(0, 4)];
+  wc.in_c = static_cast<int>(rng.uniform_int(1, 19));
+  wc.out_c = static_cast<int>(rng.uniform_int(1, 19));
+  wc.height = static_cast<int>(rng.uniform_int(1, 9));
+  wc.width = static_cast<int>(rng.uniform_int(1, 9));
+  wc.kernel = kKernels[rng.uniform_int(0, 3)];
+  if (rng.uniform(0.0, 1.0) < 0.3) wc.kernel_w = kKernels[rng.uniform_int(0, 3)];
+  wc.stride = static_cast<int>(rng.uniform_int(1, 2));
+  wc.same = rng.uniform(0.0, 1.0) < 0.6;
+  if (!wc.same && rng.uniform(0.0, 1.0) < 0.3) wc.padding = 1;
+  if (wc.kind == LayerKind::kConv2D || wc.kind == LayerKind::kDepthwiseConv2D) {
+    wc.act = kActs[rng.uniform_int(0, 2)];
+  }
+  return wc;
+}
+
+TEST(DirectKernels, MatchOracleBitwiseOnSeededCases) {
+  util::Rng rng(20240611);
+  for (int i = 0; i < 600; ++i) expect_matches_oracle(random_case(rng), rng);
+}
+
+TEST(DirectKernels, MatchOracleAtNarrowStridedWidths) {
+  // Stride 2 over rows narrower than the kernel's reach: a tap past the
+  // row's end must not be rounded into column 0 (it would read the next
+  // row). Covers in_w 2 with kernel 5 and every narrow width besides.
+  util::Rng rng(7);
+  for (LayerKind kind : {LayerKind::kConv2D, LayerKind::kDepthwiseConv2D,
+                         LayerKind::kMaxPool2D, LayerKind::kAvgPool2D}) {
+    for (int width = 1; width <= 9; ++width) {
+      for (int kernel : {1, 3, 5, 7}) {
+        for (int stride : {1, 2}) {
+          for (bool same : {true, false}) {
+            WindowCase wc;
+            wc.kind = kind;
+            wc.in_c = 3;
+            wc.out_c = 9;
+            wc.height = 5;
+            wc.width = width;
+            wc.kernel = kernel;
+            wc.stride = stride;
+            wc.same = same;
+            expect_matches_oracle(wc, rng);
+            wc.kernel_w = kernel == 1 ? 3 : 1;  // non-square
+            expect_matches_oracle(wc, rng);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DirectKernels, PointwiseMatchesOracleOnOddChannelCounts) {
+  // The 1x1 fast path: channel counts around the 8-channel block and column
+  // counts around the 4-column tile.
+  util::Rng rng(11);
+  for (int in_c : {1, 7, 8, 9, 33}) {
+    for (int out_c : {1, 7, 8, 9, 17}) {
+      for (int width : {1, 3, 4, 5, 9}) {
+        WindowCase wc;
+        wc.in_c = in_c;
+        wc.out_c = out_c;
+        wc.height = 6;
+        wc.width = width;
+        expect_matches_oracle(wc, rng);
+      }
+    }
+  }
+}
+
+// ---- the window check ------------------------------------------------------
+
+RowWindow window_rows(const Tensor& full, int lo, int hi) {
+  RowWindow w;
+  w.data = full.rows(lo, hi);
+  w.row_offset = lo;
+  w.full_height = full.height();
+  return w;
+}
+
+TEST(WindowCheck, KernelsThrowOnMissingRowAndAcceptPaddingOnlyGaps) {
+  // 3x3 same, stride 1, over 8 rows: output rows [2, 5) read input [1, 6).
+  util::Rng rng(3);
+  const Tensor full = Tensor::random(dnn::Shape{2, 8, 5}, rng);
+  Layer conv = conv_layer(2, 3, 3, 1, true);
+  conv.output = dnn::Shape{3, 8, 5};
+  Layer dw = conv;
+  dw.kind = LayerKind::kDepthwiseConv2D;
+  dw.params.out_channels = 0;
+  dw.output = dnn::Shape{2, 8, 5};
+  Layer pool = dw;
+  pool.kind = LayerKind::kMaxPool2D;
+  LayerWeights cw;
+  cw.conv = Tensor::random(dnn::Shape{1, 1, 3 * 2 * 9}, rng);
+  LayerWeights dww;
+  dww.conv = Tensor::random(dnn::Shape{1, 1, 2 * 9}, rng);
+
+  auto run_all = [&](const RowWindow& w, int ob, int oe) {
+    conv2d_rows(conv, w, cw, ob, oe);
+    depthwise_conv2d_rows(dw, w, dww, ob, oe);
+    pool2d_rows(pool, w, ob, oe, true);
+    pool2d_rows(pool, w, ob, oe, false);
+  };
+  auto each_throws = [&](const RowWindow& w, int ob, int oe) {
+    EXPECT_THROW(conv2d_rows(conv, w, cw, ob, oe), std::logic_error);
+    EXPECT_THROW(depthwise_conv2d_rows(dw, w, dww, ob, oe), std::logic_error);
+    EXPECT_THROW(pool2d_rows(pool, w, ob, oe, true), std::logic_error);
+    EXPECT_THROW(pool2d_rows(pool, w, ob, oe, false), std::logic_error);
+  };
+
+  EXPECT_NO_THROW(run_all(window_rows(full, 1, 6), 2, 5));
+  each_throws(window_rows(full, 2, 6), 2, 5);  // top halo row 1 missing
+  each_throws(window_rows(full, 1, 5), 2, 5);  // bottom halo row 5 missing
+  // Rows -1 and 8 are zero padding, not missing data.
+  EXPECT_NO_THROW(run_all(window_rows(full, 0, 4), 0, 3));
+  EXPECT_NO_THROW(run_all(window_rows(full, 4, 8), 5, 8));
+  each_throws(window_rows(full, 0, 3), 0, 3);  // row 3 is inside the tensor
+
+  // The 1x1 path checks the same way.
+  Layer pointwise = conv_layer(2, 3, 1, 1, true);
+  pointwise.output = dnn::Shape{3, 8, 5};
+  LayerWeights pw;
+  pw.conv = Tensor::random(dnn::Shape{1, 1, 3 * 2}, rng);
+  EXPECT_NO_THROW(conv2d_rows(pointwise, window_rows(full, 2, 5), pw, 2, 5));
+  EXPECT_THROW(conv2d_rows(pointwise, window_rows(full, 2, 5), pw, 2, 6), std::logic_error);
+}
+
+TEST(WindowCheck, ElementwiseOpsThrowOnMissingRow) {
+  util::Rng rng(4);
+  const Tensor full = Tensor::random(dnn::Shape{2, 6, 3}, rng);
+  const RowWindow w = window_rows(full, 2, 4);
+  Layer act;
+  act.kind = LayerKind::kActivation;
+  act.params.activation = Activation::kRelu;
+  EXPECT_NO_THROW(activation_rows(act, w, 2, 4));
+  EXPECT_THROW(activation_rows(act, w, 1, 4), std::logic_error);
+  EXPECT_THROW(se_partial_sums(w, 2, 5), std::logic_error);
+  EXPECT_THROW(concat_rows({&w}, 3, 5), std::logic_error);
 }
 
 }  // namespace
