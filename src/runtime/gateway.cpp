@@ -2,11 +2,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -181,6 +183,7 @@ GatewayStats Gateway::stats() const {
   stats.repaired_plans = repaired_plans_.load(std::memory_order_relaxed);
   stats.cold_replans = cold_replans_.load(std::memory_order_relaxed);
   stats.partial_repriced_rows = partial_repriced_rows_.load(std::memory_order_relaxed);
+  stats.open_connections = open_connections_.load(std::memory_order_relaxed);
   if (pool_) {
     const PlannerDeltaStats pool_stats = pool_->planner_stats();
     stats.repaired_plans += pool_stats.repaired_plans;
@@ -194,37 +197,27 @@ void Gateway::start() {
   if (running_.exchange(true, std::memory_order_acq_rel)) return;
   stopping_.store(false, std::memory_order_release);
   listen_tcp();
+  poll_set_.assign(1, pollfd{listen_fd_, POLLIN, 0});
+  clock_.set_poll_set(&poll_set_);
   driver_ = std::thread([this] { driver_loop(); });
-  acceptor_ = std::thread([this] { accept_loop(); });
 }
 
 void Gateway::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stopping_.store(true, std::memory_order_release);
   clock_.wake();
-  // Driver first: it drains every in-flight request to a terminal outcome
-  // (still writing responses to open connections) before exiting.
+  // The driver drains every in-flight request to a terminal outcome (still
+  // writing responses to open connections) before exiting.
   if (driver_.joinable()) driver_.join();
-  if (acceptor_.joinable()) acceptor_.join();
+  clock_.set_poll_set(nullptr);
+  for (const auto& connection : connections_) {
+    if (connection->fd >= 0) close_connection(*connection);
+  }
+  connections_.clear();
+  poll_set_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-  }
-  std::vector<std::shared_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    connections.swap(connections_);
-  }
-  for (const auto& connection : connections) {
-    connection->open.store(false, std::memory_order_release);
-    ::shutdown(connection->fd, SHUT_RDWR);
-  }
-  for (const auto& connection : connections) {
-    if (connection->reader.joinable()) connection->reader.join();
-  }
-  for (const auto& connection : connections) {
-    ::close(connection->fd);
-    connection->fd = -1;
   }
   running_.store(false, std::memory_order_release);
 }
@@ -244,6 +237,10 @@ void Gateway::driver_loop() {
   sim.set_pump([this] { return pump(); });
   sim.run();
   sim.set_pump(nullptr);
+  // The last terminal outcomes leave zero-delay events behind (the engine
+  // defers breaking each finished run's callback cycle by one event); run
+  // them, or those runs leak.
+  sim.run_until(sim.now());
   sim.set_clock(nullptr);  // back to the owned VirtualClock (pure DES)
 }
 
@@ -259,6 +256,7 @@ bool Gateway::pump() {
     partial_repriced_rows_.store(service_stats.partial_repriced_rows,
                                  std::memory_order_relaxed);
   }
+  serve_sockets();
   std::deque<Submission> batch = submissions_.drain();
   for (Submission& submission : batch) admit(std::move(submission));
   if (stopping_.load(std::memory_order_acquire)) {
@@ -321,7 +319,7 @@ void Gateway::finalize_stranded() {
 // ---- TCP front end ---------------------------------------------------------
 
 void Gateway::listen_tcp() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) throw std::runtime_error("Gateway: socket() failed");
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -345,45 +343,97 @@ void Gateway::listen_tcp() {
   port_ = ntohs(bound.sin_port);
 }
 
-void Gateway::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (rc <= 0) continue;  // timeout (re-check stop) or transient error
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
+void Gateway::serve_sockets() {
+  pollfd& listener = poll_set_[0];
+  if (stopping_.load(std::memory_order_acquire)) listener.fd = -1;  // stop accepting
+  if (listener.revents != 0) {
+    listener.revents = 0;
+    if (listener.fd >= 0) accept_connections();
+  }
+  // Connections accepted just now have no revents yet.
+  for (std::size_t i = 1; i < poll_set_.size(); ++i) {
+    if (poll_set_[i].revents == 0) continue;
+    poll_set_[i].revents = 0;
+    if (poll_set_[i].fd >= 0) read_connection(connections_[i - 1]);
+  }
+  // Reap what closed since the last pass; close_connection() already took
+  // each one out of the poll.
+  if (connections_.size() == open_connections_.load(std::memory_order_relaxed)) return;
+  std::size_t kept = 1;
+  for (std::size_t i = 1; i < poll_set_.size(); ++i) {
+    if (poll_set_[i].fd < 0) continue;
+    if (kept != i) {
+      poll_set_[kept] = poll_set_[i];
+      connections_[kept - 1] = std::move(connections_[i - 1]);
+    }
+    ++kept;
+  }
+  poll_set_.resize(kept);
+  connections_.resize(kept - 1);
+}
+
+void Gateway::accept_connections() {
+  // The listen socket is non-blocking: accept until the backlog is empty.
+  for (;;) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) return;
+    // Responses are small writes; without this each one written while the
+    // previous is unacknowledged waits for the client's delayed ACK.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
-    {
-      std::lock_guard<std::mutex> lock(connections_mu_);
-      connections_.push_back(connection);
-    }
-    connection->reader = std::thread([this, connection] { connection_loop(connection); });
+    connections_.push_back(std::move(connection));
+    poll_set_.push_back(pollfd{fd, POLLIN, 0});
+    open_connections_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void Gateway::connection_loop(const std::shared_ptr<Connection>& connection) {
-  std::string buffer;
-  char chunk[4096];
-  while (connection->open.load(std::memory_order_acquire)) {
-    pollfd pfd{connection->fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (rc < 0) break;
-    if (rc == 0) continue;  // timeout: re-check open
-    const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;  // EOF / error; responses for in-flight requests drop
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) handle_line(connection, line);
-    }
+void Gateway::read_connection(const std::shared_ptr<Connection>& connection) {
+  Connection& c = *connection;
+  char chunk[16384];
+  const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) return;
+  if (n <= 0) {
+    // EOF or error: a partial last line is dropped, as are the responses
+    // still due to this connection.
+    close_connection(c);
+    return;
   }
-  // The fd stays open until stop(): a driver-thread response racing a
-  // client disconnect must never write into a recycled descriptor.
-  connection->open.store(false, std::memory_order_release);
+  // Split complete lines from an offset and erase once per recv; only the
+  // new bytes are scanned for newlines.
+  std::size_t start = 0;
+  std::size_t scan = c.buffer.size();
+  c.buffer.append(chunk, static_cast<std::size_t>(n));
+  std::size_t pos;
+  bool overlong = false;
+  while (c.fd >= 0 && (pos = c.buffer.find('\n', scan)) != std::string::npos) {
+    std::size_t length = pos - start;
+    if (length > kMaxLineBytes) {
+      overlong = true;
+      break;
+    }
+    if (length > 0 && c.buffer[pos - 1] == '\r') --length;
+    if (length > 0) handle_line(connection, c.buffer.substr(start, length));
+    start = scan = pos + 1;
+  }
+  if (c.fd < 0) return;  // a response write failed and closed the connection
+  c.buffer.erase(0, start);
+  if (overlong || c.buffer.size() > kMaxLineBytes) {
+    bad_lines_.fetch_add(1, std::memory_order_relaxed);
+    write_line(c, error_line(-1, "line exceeds " + std::to_string(kMaxLineBytes) + " bytes"));
+    if (c.fd >= 0) close_connection(c);
+  }
+}
+
+void Gateway::close_connection(Connection& connection) {
+  for (std::size_t i = 1; i < poll_set_.size(); ++i) {
+    if (poll_set_[i].fd == connection.fd) poll_set_[i].fd = -1;
+  }
+  ::close(connection.fd);
+  connection.fd = -1;
+  std::string().swap(connection.buffer);
+  open_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Gateway::handle_line(const std::shared_ptr<Connection>& connection,
@@ -393,36 +443,37 @@ void Gateway::handle_line(const std::shared_ptr<Connection>& connection,
   if (const auto cmd = jsonl::string_field(line, "cmd")) {
     if (*cmd == "stats") {
       const GatewayStats s = stats();
-      char buffer[320];
+      char buffer[384];
       std::snprintf(buffer, sizeof(buffer),
                     "{\"event\":\"stats\",\"id\":%ld,\"received\":%llu,"
                     "\"submitted\":%llu,\"responded\":%llu,\"bad_lines\":%llu,"
                     "\"repaired_plans\":%llu,\"cold_replans\":%llu,"
-                    "\"partial_repriced_rows\":%llu}",
+                    "\"partial_repriced_rows\":%llu,\"open_connections\":%llu}",
                     tag, static_cast<unsigned long long>(s.received),
                     static_cast<unsigned long long>(s.submitted),
                     static_cast<unsigned long long>(s.responded),
                     static_cast<unsigned long long>(s.bad_lines),
                     static_cast<unsigned long long>(s.repaired_plans),
                     static_cast<unsigned long long>(s.cold_replans),
-                    static_cast<unsigned long long>(s.partial_repriced_rows));
-      write_line(connection, buffer);
+                    static_cast<unsigned long long>(s.partial_repriced_rows),
+                    static_cast<unsigned long long>(s.open_connections));
+      write_line(*connection, buffer);
       return;
     }
     bad_lines_.fetch_add(1, std::memory_order_relaxed);
-    write_line(connection, error_line(tag, "unknown cmd: " + *cmd));
+    write_line(*connection, error_line(tag, "unknown cmd: " + *cmd));
     return;
   }
   const auto model_name = jsonl::string_field(line, "model");
   if (!model_name) {
     bad_lines_.fetch_add(1, std::memory_order_relaxed);
-    write_line(connection, error_line(tag, "missing model"));
+    write_line(*connection, error_line(tag, "missing model"));
     return;
   }
   const dnn::DnnGraph* model = find_model(*model_name);
   if (model == nullptr) {
     bad_lines_.fetch_add(1, std::memory_order_relaxed);
-    write_line(connection, error_line(tag, "unknown model: " + *model_name));
+    write_line(*connection, error_line(tag, "unknown model: " + *model_name));
     return;
   }
   GatewayRequest request;
@@ -431,7 +482,7 @@ void Gateway::handle_line(const std::shared_ptr<Connection>& connection,
     const auto qos = parse_qos(*qos_name);
     if (!qos) {
       bad_lines_.fetch_add(1, std::memory_order_relaxed);
-      write_line(connection, error_line(tag, "unknown qos: " + *qos_name));
+      write_line(*connection, error_line(tag, "unknown qos: " + *qos_name));
       return;
     }
     request.qos = *qos;
@@ -442,31 +493,31 @@ void Gateway::handle_line(const std::shared_ptr<Connection>& connection,
   {
     char buffer[128];
     std::snprintf(buffer, sizeof(buffer), "{\"event\":\"accepted\",\"id\":%ld}", tag);
-    write_line(connection, buffer);
+    write_line(*connection, buffer);
   }
-  submit(request, [this, connection, tag](const RequestRecord& record) {
-    char buffer[256];
-    std::snprintf(buffer, sizeof(buffer),
-                  "{\"event\":\"done\",\"id\":%ld,\"outcome\":\"%s\","
-                  "\"latency_ms\":%.3f,\"model\":\"%s\"}",
-                  tag, std::string(request_outcome_name(record.outcome)).c_str(),
-                  record.latency_s() * 1e3, escape_json(record.model).c_str());
-    write_line(connection, buffer);
-  });
+  received_.fetch_add(1, std::memory_order_relaxed);
+  admit(Submission{request, [this, connection, tag](const RequestRecord& record) {
+                     char buffer[256];
+                     std::snprintf(buffer, sizeof(buffer),
+                                   "{\"event\":\"done\",\"id\":%ld,\"outcome\":\"%s\","
+                                   "\"latency_ms\":%.3f,\"model\":\"%s\"}",
+                                   tag,
+                                   std::string(request_outcome_name(record.outcome)).c_str(),
+                                   record.latency_s() * 1e3, escape_json(record.model).c_str());
+                     write_line(*connection, buffer);
+                   }});
 }
 
-void Gateway::write_line(const std::shared_ptr<Connection>& connection,
-                         const std::string& line) {
-  if (!connection->open.load(std::memory_order_acquire)) return;
+void Gateway::write_line(Connection& connection, const std::string& line) {
+  if (connection.fd < 0) return;  // closed: the response is dropped
   std::string framed = line;
   framed.push_back('\n');
-  std::lock_guard<std::mutex> lock(connection->write_mu);
   std::size_t offset = 0;
   while (offset < framed.size()) {
-    const ssize_t n = ::send(connection->fd, framed.data() + offset,
-                             framed.size() - offset, MSG_NOSIGNAL);
+    const ssize_t n = ::send(connection.fd, framed.data() + offset, framed.size() - offset,
+                             MSG_NOSIGNAL);
     if (n <= 0) {
-      connection->open.store(false, std::memory_order_release);
+      close_connection(connection);
       return;
     }
     offset += static_cast<std::size_t>(n);
@@ -490,6 +541,9 @@ bool LineClient::connect(std::uint16_t port) {
     fd_ = -1;
     return false;
   }
+  // Pipelined request lines must not wait for the gateway's delayed ACK.
+  int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return true;
 }
 

@@ -4,13 +4,18 @@
 // ServiceFleet, InferenceService, ExecutionEngine — unchanged. The gateway
 // re-hosts that stack on real time and real concurrency:
 //
-//  - A driver thread installs a sim::WallClock on the cluster's simulator
+//  - One driver thread installs a sim::WallClock on the cluster's simulator
 //    and runs the event loop: events fire when their timestamps actually
-//    pass, and between events the loop drains an MPSC submission queue fed
-//    by any number of client threads (Gateway::submit and the TCP
-//    connection readers both land there). All fleet/service/simulator
-//    state stays driver-thread-only; producers touch exactly two
-//    thread-safe objects — the queue and the clock's wake().
+//    pass. The same thread serves the TCP front end. The listen socket and
+//    every connection sit in the clock's poll set, so between events the
+//    driver sleeps in a single ppoll() whose timeout is the next event, and
+//    a readable socket ends the sleep as a wake does. Accepting, reading,
+//    line parsing, admission and every response write run on the driver;
+//    accepted sockets have TCP_NODELAY set, so a response never waits for
+//    the client's delayed ACK of the one before. All fleet/service/
+//    simulator/socket state stays driver-thread-only; other threads touch
+//    exactly two thread-safe objects — the MPSC queue fed by
+//    Gateway::submit and the clock's wake().
 //  - An optional PlannerPool (Options::planner_workers > 0) moves
 //    IStrategy::plan() off the driver thread; plans are epoch-checked at
 //    delivery so one computed across a churn/link event is re-requested,
@@ -24,18 +29,23 @@
 //    when the request leaves the fleet ("error" for bad lines / unknown
 //    models). "qos", "deadline_ms" and "id" are optional; responses echo
 //    "id" (-1 when the client sent none), so concurrent requests on one
-//    connection need client-chosen ids to correlate.
+//    connection need client-chosen ids to correlate. A line longer than
+//    Gateway::kMaxLineBytes gets an "error" event and its connection is
+//    closed. A connection is closed and reaped at EOF; responses still due
+//    to it are dropped.
 //
 // The same binary remains a deterministic DES: never start a gateway and
 // the simulator keeps its default VirtualClock, bit-identical to the seed.
 #pragma once
 
+#include <poll.h>
+
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -74,13 +84,14 @@ struct GatewayOptions {
 /// The planner counters combine the fleet/service strategies (refreshed by
 /// the driver between events) with the planner pool's workers (live).
 struct GatewayStats {
-  std::uint64_t received = 0;   ///< submissions entering the queue
+  std::uint64_t received = 0;   ///< requests received (request lines and submit() calls)
   std::uint64_t submitted = 0;  ///< admitted into the fleet/service
   std::uint64_t responded = 0;  ///< terminal outcomes delivered
   std::uint64_t bad_lines = 0;  ///< TCP lines rejected (parse/unknown model)
   std::uint64_t repaired_plans = 0;         ///< plans served off a delta-repaired cache
   std::uint64_t cold_replans = 0;           ///< cost models built from scratch
   std::uint64_t partial_repriced_rows = 0;  ///< DP rows rebuilt by per-node repricing
+  std::uint64_t open_connections = 0;       ///< TCP connections accepted and not yet closed
 };
 
 class Gateway {
@@ -88,6 +99,12 @@ class Gateway {
   /// Protocol model names -> graphs. The graphs must outlive the gateway.
   using ModelRegistry = std::map<std::string, const dnn::DnnGraph*>;
   using Options = GatewayOptions;
+
+  /// Longest request line a connection may send (newline excluded). A
+  /// longer line, complete or still partial, is answered with an "error"
+  /// event and closes its connection, which bounds each connection's
+  /// input buffer.
+  static constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
   /// Gateway over a fleet. With planner_workers > 0, `planner_factory`
   /// builds one strategy per pool worker and every shard plans through the
@@ -103,14 +120,17 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Binds the TCP listener, installs the WallClock and starts the driver,
-  /// accept and connection threads. Throws std::runtime_error on socket
-  /// failures. The simulator must not be running elsewhere.
+  /// Binds the TCP listener, installs the WallClock and starts the driver
+  /// thread, which runs the simulator and serves every socket; no other
+  /// thread is started (planner-pool workers start with the gateway).
+  /// Throws std::runtime_error on socket failures. The simulator must not
+  /// be running elsewhere.
   void start();
 
   /// Graceful shutdown: stops accepting, drains every in-flight request to
-  /// its terminal outcome (responses are still delivered), then joins all
-  /// threads and restores the simulator's VirtualClock. Idempotent.
+  /// its terminal outcome (responses are still delivered), then joins the
+  /// driver, closes every socket and restores the simulator's
+  /// VirtualClock. Idempotent.
   void stop();
 
   bool running() const noexcept { return running_.load(std::memory_order_acquire); }
@@ -146,11 +166,12 @@ class Gateway {
     void on_complete(const RequestRecord& record, double now_s) override;
     Gateway* gateway;
   };
+  /// One accepted TCP connection, driver-thread-only. Terminal callbacks
+  /// hold it by shared_ptr: a response due after the connection closed
+  /// finds fd == -1 and is dropped.
   struct Connection {
     int fd = -1;
-    std::mutex write_mu;
-    std::atomic<bool> open{true};
-    std::thread reader;
+    std::string buffer;  ///< received bytes after the last complete line
   };
 
   void init(PlannerPool::StrategyFactory planner_factory);
@@ -166,10 +187,15 @@ class Gateway {
   void finalize_stranded();
 
   void listen_tcp();
-  void accept_loop();
-  void connection_loop(const std::shared_ptr<Connection>& connection);
+  /// Accepts and reads whatever the clock's last poll found ready, then
+  /// drops closed connections from the poll set. No syscall unless a
+  /// socket was ready.
+  void serve_sockets();
+  void accept_connections();
+  void read_connection(const std::shared_ptr<Connection>& connection);
   void handle_line(const std::shared_ptr<Connection>& connection, const std::string& line);
-  void write_line(const std::shared_ptr<Connection>& connection, const std::string& line);
+  void write_line(Connection& connection, const std::string& line);
+  void close_connection(Connection& connection);
 
   ServiceFleet* fleet_ = nullptr;        ///< exactly one of fleet_ /
   InferenceService* service_ = nullptr;  ///< service_ is set
@@ -189,14 +215,17 @@ class Gateway {
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   std::thread driver_;
-  std::thread acceptor_;
-  std::mutex connections_mu_;
+  /// The clock's poll set: [0] the listen socket (fd -1 once stopping),
+  /// then one entry per connections_ element, in order. Driver-thread-only
+  /// while running.
+  std::vector<pollfd> poll_set_;
   std::vector<std::shared_ptr<Connection>> connections_;
 
   std::atomic<std::uint64_t> received_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> responded_{0};
   std::atomic<std::uint64_t> bad_lines_{0};
+  std::atomic<std::uint64_t> open_connections_{0};
   // Fleet/service planner counters are driver-thread-only; pump() mirrors
   // them into these atomics so stats() and the TCP stats line can read them
   // from any thread. The planner pool keeps its own thread-safe counters,

@@ -9,19 +9,22 @@
 //    never blocks, so a Simulator driven by it is bit-identical to the
 //    pre-clock DES — the whole regression/bench suite runs under it.
 //  - WallClock pins the timeline to the process's monotonic clock (seconds
-//    since the clock's construction). advance_to() blocks until real time
-//    reaches the target or wake() interrupts the wait, which is what lets
-//    runtime::Gateway run the same fleet code against real concurrent
-//    clients: events fire when their timestamps actually pass, and external
-//    submission threads wake the driver loop out of its sleep.
+//    since the clock's construction). advance_to() sleeps in ppoll() until
+//    real time reaches the target, wake() (an eventfd write) interrupts the
+//    sleep, and so does any descriptor in an optional poll set — which is
+//    what lets runtime::Gateway serve its sockets from the same event loop:
+//    events fire when their timestamps actually pass, and a client line or
+//    an external submission ends the sleep early.
 //
 // Only WallClock is shared across threads, and only through now()/wake();
-// advance_to()/wait() are driver-thread-only (single consumer).
+// advance_to()/wait() and the poll set are driver-thread-only (single
+// consumer).
 #pragma once
 
+#include <poll.h>
+
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <vector>
 
 namespace hidp::sim {
 
@@ -77,11 +80,16 @@ class VirtualClock final : public Clock {
   ClockTime now_ = 0.0;
 };
 
-/// Monotonic wall time, anchored at construction. Timed waits are
-/// interruptible by wake() from any thread.
+/// Monotonic wall time, anchored at construction. Timed waits sleep in
+/// ppoll() on a wake eventfd plus the caller's poll set; wake() from any
+/// thread ends them early.
 class WallClock final : public Clock {
  public:
-  WallClock() : start_(std::chrono::steady_clock::now()) {}
+  /// Throws std::system_error when the wake eventfd cannot be created.
+  WallClock();
+  ~WallClock() override;
+  WallClock(const WallClock&) = delete;
+  WallClock& operator=(const WallClock&) = delete;
 
   bool is_virtual() const noexcept override { return false; }
   ClockTime now() const override;
@@ -89,16 +97,32 @@ class WallClock final : public Clock {
   bool wait(ClockTime timeout_s) override;
   void wake() override;
 
+  /// Descriptors every wait polls besides the wake eventfd; the caller owns
+  /// the vector and sets fd/events (a negative fd is skipped). A descriptor
+  /// turning ready ends the wait early, like a wake, and every poll stores
+  /// the revents back into the vector for the caller to service and clear.
+  /// When advance_to() finds its target already passed it does not sleep,
+  /// but still polls the set (never the wake eventfd) once `kPollGap` has
+  /// elapsed since the last poll, so a DES that runs behind real time
+  /// cannot starve the descriptors. nullptr (the default) polls none.
+  /// Driver thread only.
+  void set_poll_set(std::vector<pollfd>* fds) noexcept { watched_ = fds; }
+
+  /// Longest stretch of overdue events advance_to() runs without polling
+  /// the poll set.
+  static constexpr ClockTime kPollGap = 0.001;
+
  private:
-  /// Shared wait body: blocks until the monotonic timeline reaches
-  /// `target_s` (infinity = pure wake wait bounded by timeout) or a wake
-  /// lands. Returns true when woken.
-  bool wait_until(ClockTime target_s);
+  /// Polls the wake eventfd (when `with_wake`) and the poll set for up to
+  /// `timeout_s` (0 = just look). Returns true when a wake was consumed or
+  /// a watched descriptor is ready.
+  bool poll_for(ClockTime timeout_s, bool with_wake);
 
   std::chrono::steady_clock::time_point start_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool woken_ = false;  ///< latched wake, consumed by the next wait
+  int wake_fd_ = -1;
+  std::vector<pollfd>* watched_ = nullptr;
+  std::vector<pollfd> polled_;  ///< ppoll() array: [wake eventfd] + *watched_
+  ClockTime last_poll_s_ = 0.0;
 };
 
 }  // namespace hidp::sim

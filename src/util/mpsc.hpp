@@ -1,9 +1,9 @@
 // Multi-producer single-consumer queue: the thread-safe submission path
-// between external threads (gateway TCP connections, planner-pool workers,
-// programmatic Gateway::submit callers) and the single DES driver thread.
+// between external threads (planner-pool workers, programmatic
+// Gateway::submit callers) and the single DES driver thread.
 //
 // Deliberately a mutex + deque rather than a lock-free ring: producers are
-// network/planner threads pushing at request rate (not a hot loop), the
+// caller/planner threads pushing at request rate (not a hot loop), the
 // consumer drains in batches between DES events, and a mutex is trivially
 // TSan-clean. Pairing with sim::Clock::wake() is the caller's job — push,
 // then wake the driver so it drains before its next sleep.

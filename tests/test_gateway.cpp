@@ -1,11 +1,19 @@
 // Wall-clock serving runtime: the clock abstraction (VirtualClock DES
-// identity, WallClock pacing and wakes), the MPSC submission queue, the
-// planner pool (inline bit-identity, epoch staleness, dead-shard
-// delivery), and the TCP gateway end to end under real concurrency.
+// identity, WallClock pacing, wakes and poll set), the MPSC submission
+// queue, the planner pool (inline bit-identity, epoch staleness, dead-shard
+// delivery), and the TCP gateway end to end under real concurrency: line
+// splitting and the line cap, connection reaping, and the socket stall.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -79,6 +87,52 @@ TEST(WallClock, WakeIsLatchedForTheNextWait) {
   EXPECT_LT(seconds_since(start), 10.0);
   // Consumed: a short second wait times out instead.
   EXPECT_FALSE(clock.wait(0.01));
+}
+
+TEST(WallClock, ReadyPollSetDescriptorEndsTheWait) {
+  sim::WallClock clock;
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  std::vector<pollfd> poll_set{pollfd{pipe_fds[0], POLLIN, 0}};
+  clock.set_poll_set(&poll_set);
+  std::thread writer([&pipe_fds] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const char byte = 'x';
+    EXPECT_EQ(::write(pipe_fds[1], &byte, 1), 1);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const double target = clock.now() + 30.0;
+  EXPECT_LT(clock.advance_to(target), target);
+  writer.join();
+  EXPECT_LT(seconds_since(start), 10.0);
+  // The poll's revents land in the caller's set for it to service.
+  EXPECT_NE(poll_set[0].revents & POLLIN, 0);
+  clock.set_poll_set(nullptr);
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+}
+
+TEST(WallClock, OverdueAdvancePollsTheSetButKeepsTheWakeLatched) {
+  sim::WallClock clock;
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  const char byte = 'x';
+  ASSERT_EQ(::write(pipe_fds[1], &byte, 1), 1);
+  std::vector<pollfd> poll_set{pollfd{pipe_fds[0], POLLIN, 0}};
+  clock.set_poll_set(&poll_set);
+  clock.wake();
+  // A target already passed does not sleep, but once kPollGap has elapsed
+  // it looks at the poll set so overdue events cannot starve it.
+  std::this_thread::sleep_for(std::chrono::duration<double>(2 * sim::WallClock::kPollGap));
+  EXPECT_DOUBLE_EQ(clock.advance_to(0.0), 0.0);
+  EXPECT_NE(poll_set[0].revents & POLLIN, 0);
+  // ... and leaves the wake for the next wait.
+  poll_set[0].fd = -1;
+  EXPECT_TRUE(clock.wait(30.0));
+  EXPECT_FALSE(clock.wait(0.01));
+  clock.set_poll_set(nullptr);
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
 }
 
 // ---- MpscQueue -------------------------------------------------------------
@@ -179,7 +233,9 @@ std::vector<RequestRecord> run_pooled_service(const std::vector<RequestSpec>& wo
   cluster.simulator().set_pump([&] {
     pool.wait_idle();
     pool.pump();
-    return terminal_count(service.stats()) < workload.size();
+    // Keep running until the engine's deferred run releases have fired too.
+    return terminal_count(service.stats()) < workload.size() ||
+           cluster.simulator().pending() > 0;
   });
   auto records = service.run();
   cluster.simulator().set_pump(nullptr);
@@ -546,6 +602,196 @@ TEST(Gateway, StopDrainsInFlightRequests) {
   gateway.stop();  // immediate: no waiting for completion first
   EXPECT_EQ(delivered.load(), 3);
   EXPECT_EQ(gateway.stats().responded, 3u);
+}
+
+std::size_t count_entries(const char* directory) {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator(directory)) {
+    ++count;
+  }
+  return count;
+}
+
+/// Reads events until the "done" for the request in flight; returns its
+/// latency_ms, or -1 on an error event, timeout or EOF.
+double read_until_done(LineClient& client) {
+  for (;;) {
+    const auto response = client.read_line(30.0);
+    if (!response) return -1.0;
+    const std::string event = jsonl::string_field(*response, "event").value_or("");
+    if (event == "error") return -1.0;
+    if (event == "done") return jsonl::number_field(*response, "latency_ms").value_or(-1.0);
+  }
+}
+
+/// One request at a time on one connection: the wall time from sending the
+/// line to reading its "done", minus the latency the fleet reports, is the
+/// gateway's own overhead. A response written while the previous one is
+/// still unacknowledged must not wait out the client's delayed ACK
+/// (~40 ms): both ends set TCP_NODELAY.
+TEST(Gateway, PingPongAddsNoSocketStall) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+  LineClient client;
+  ASSERT_TRUE(client.connect(gateway.port()));
+
+  constexpr int kRequests = 20;
+  constexpr int kWarmup = 5;  // cold plans, slow under the sanitizers
+  std::vector<double> overhead_ms;
+  for (int id = 0; id < kRequests; ++id) {
+    const auto sent = std::chrono::steady_clock::now();
+    ASSERT_TRUE(
+        client.send_line("{\"id\":" + std::to_string(id) + ",\"model\":\"EfficientNetB0\"}"));
+    const double latency_ms = read_until_done(client);
+    ASSERT_GE(latency_ms, 0.0) << "request " << id;
+    if (id >= kWarmup) overhead_ms.push_back(seconds_since(sent) * 1e3 - latency_ms);
+  }
+  gateway.stop();
+  std::nth_element(overhead_ms.begin(), overhead_ms.begin() + overhead_ms.size() / 2,
+                   overhead_ms.end());
+  EXPECT_LT(overhead_ms[overhead_ms.size() / 2], 10.0);
+}
+
+/// Ten thousand lines in one send are each answered, in order: lines are
+/// split from an offset, so pipelined input costs linear time.
+TEST(Gateway, AnswersTenThousandPipelinedLines) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+  LineClient client;
+  ASSERT_TRUE(client.connect(gateway.port()));
+
+  constexpr int kLines = 10000;
+  std::string batch;
+  for (int id = 0; id < kLines; ++id) {
+    if (id > 0) batch.push_back('\n');
+    batch += "{\"cmd\":\"stats\",\"id\":" + std::to_string(id) + "}";
+  }
+  // The answers stream back while the batch is still being sent, so send
+  // from a second thread; send_line only reads the client's descriptor.
+  std::thread sender([&client, &batch] { EXPECT_TRUE(client.send_line(batch)); });
+  int answered = 0;
+  for (; answered < kLines; ++answered) {
+    const auto response = client.read_line(30.0);
+    if (!response) break;
+    ASSERT_EQ(jsonl::string_field(*response, "event").value_or(""), "stats") << *response;
+    ASSERT_EQ(static_cast<int>(jsonl::number_field(*response, "id").value_or(-1)), answered);
+  }
+  sender.join();
+  gateway.stop();
+  EXPECT_EQ(answered, kLines);
+  EXPECT_EQ(gateway.stats().bad_lines, 0u);
+}
+
+/// A raw client socket, for input LineClient cannot send (no newline).
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::string& data) {
+  std::size_t offset = 0;
+  while (offset < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + offset, data.size() - offset, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    offset += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// A partial line may grow to Gateway::kMaxLineBytes; one byte more gets an
+/// error event and closes that connection, while another connection is
+/// served throughout.
+TEST(Gateway, RejectsAnOverlongLineAndKeepsServingOthers) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+  LineClient other;
+  ASSERT_TRUE(other.connect(gateway.port()));
+  const int flooder = connect_raw(gateway.port());
+  ASSERT_GE(flooder, 0);
+
+  ASSERT_TRUE(send_all(flooder, std::string(Gateway::kMaxLineBytes, 'x')));
+  // At the cap the partial line is kept; the other connection is served.
+  ASSERT_TRUE(other.send_line("{\"id\":1,\"model\":\"EfficientNetB0\"}"));
+  ASSERT_GE(read_until_done(other), 0.0);
+  EXPECT_EQ(gateway.stats().bad_lines, 0u);
+
+  ASSERT_TRUE(send_all(flooder, "x"));
+  std::string received;
+  char chunk[4096];
+  for (;;) {
+    pollfd pfd{flooder, POLLIN, 0};
+    ASSERT_GT(::poll(&pfd, 1, 30000), 0) << "no EOF from the gateway";
+    const ssize_t n = ::recv(flooder, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;  // the gateway closed the connection
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(flooder);
+  EXPECT_EQ(jsonl::string_field(received, "event").value_or(""), "error") << received;
+  EXPECT_EQ(received.back(), '\n');
+
+  ASSERT_TRUE(other.send_line("{\"id\":2,\"cmd\":\"stats\"}"));
+  const auto response = other.read_line(10.0);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(jsonl::string_field(*response, "event").value_or(""), "stats");
+  EXPECT_EQ(jsonl::number_field(*response, "bad_lines").value_or(-1.0), 1.0);
+  EXPECT_EQ(jsonl::number_field(*response, "open_connections").value_or(-1.0), 1.0);
+  gateway.stop();
+}
+
+/// Connections closed by their clients are reaped at EOF: the count goes
+/// back to zero and so does every descriptor the gateway accepted.
+TEST(Gateway, ReapsClosedConnections) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  gateway.start();
+  const std::size_t fds_before = count_entries("/proc/self/fd");
+
+  for (int i = 0; i < 100; ++i) {
+    LineClient client;
+    ASSERT_TRUE(client.connect(gateway.port()));
+    // An answer proves the gateway accepted this connection.
+    ASSERT_TRUE(client.send_line("{\"cmd\":\"stats\"}"));
+    ASSERT_TRUE(client.read_line(10.0).has_value()) << "connection " << i;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  while (gateway.stats().open_connections > 0 && seconds_since(start) < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(gateway.stats().open_connections, 0u);
+  EXPECT_EQ(count_entries("/proc/self/fd"), fds_before);
+  gateway.stop();
+}
+
+/// The driver thread serves the sockets too: starting the gateway starts
+/// exactly one thread (no planner pool here).
+TEST(Gateway, StartsOnlyTheDriverThread) {
+  GatewayFixture fixture;
+  Gateway gateway(fixture.fleet, fixture.registry());
+  const std::size_t threads_before = count_entries("/proc/self/task");
+  gateway.start();
+  LineClient client;
+  ASSERT_TRUE(client.connect(gateway.port()));
+  ASSERT_TRUE(client.send_line("{\"id\":1,\"model\":\"EfficientNetB0\"}"));
+  ASSERT_GE(read_until_done(client), 0.0);
+  EXPECT_EQ(count_entries("/proc/self/task"), threads_before + 1);
+  gateway.stop();
+  // A joined thread's /proc entry may outlive the join by a moment.
+  const auto stopped = std::chrono::steady_clock::now();
+  while (count_entries("/proc/self/task") != threads_before && seconds_since(stopped) < 1.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(count_entries("/proc/self/task"), threads_before);
 }
 
 // ---- Line-protocol JSON helpers --------------------------------------------
