@@ -12,6 +12,7 @@
 // working directory. `--smoke` runs tiny iteration counts so CI can catch
 // build rot without paying measurement time; `--out <path>` redirects the
 // JSON.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -51,6 +52,68 @@ runtime::Plan plan_request(runtime::IStrategy& strategy, const dnn::DnnGraph& gr
   request.model = &graph;
   request.snapshot = snap;
   return strategy.plan(request).plan;
+}
+
+/// One arm of the fault-replanning comparison: a cluster and a strategy
+/// subscribed to its events. The cold arm forwards each event stripped of
+/// its post-event cluster state, which sends the strategy down its
+/// wholesale fallback (plan cache flush, every cost model rebuilt); the
+/// delta arm forwards it whole (scoped invalidation plus per-node repricing
+/// of exactly the changed node).
+class ReplanArm {
+ public:
+  explicit ReplanArm(bool delta) : cluster_(platform::paper_cluster()), strategy_(options()) {
+    cluster_.add_observer([this, delta](const runtime::NodeEvent& event) {
+      runtime::NodeEvent forwarded = event;
+      if (!delta) {
+        forwarded.nodes = nullptr;
+        forwarded.network = nullptr;
+      }
+      strategy_.on_node_event(forwarded);
+    });
+    snap_.nodes = &cluster_.nodes();
+    snap_.network = cluster_.network().spec();
+    snap_.available.assign(cluster_.size(), true);
+    snap_.leader = bench::kDefaultLeader;
+  }
+  ReplanArm(const ReplanArm&) = delete;
+  ReplanArm& operator=(const ReplanArm&) = delete;
+
+  /// Plans once so the first cycle starts warm; false on an empty plan.
+  bool warm(const dnn::DnnGraph& graph) { return !plan_request(strategy_, graph, snap_).empty(); }
+
+  /// One cycle: restore node 4 and re-warm (unmeasured), then time the DVFS
+  /// fault's event fan-out and the post-event plan together, so the delta
+  /// side's repair work is charged where it runs. Seconds, or a negative
+  /// value when the plan comes back empty.
+  double cycle(const dnn::DnnGraph& graph) {
+    cluster_.set_dvfs_scale(4, 1.0);
+    (void)plan_request(strategy_, graph, snap_);
+    const auto begin = std::chrono::steady_clock::now();
+    cluster_.set_dvfs_scale(4, 0.7);  // the fault under test
+    const runtime::Plan plan = plan_request(strategy_, graph, snap_);
+    const auto end = std::chrono::steady_clock::now();
+    return plan.empty() ? -1.0 : std::chrono::duration<double>(end - begin).count();
+  }
+
+ private:
+  static core::HidpStrategy::Options options() {
+    core::HidpStrategy::Options options;
+    options.probe_availability = false;
+    return options;
+  }
+
+  runtime::Cluster cluster_;
+  core::HidpStrategy strategy_;
+  runtime::ClusterSnapshot snap_;
+};
+
+double median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  if (values.size() % 2 == 1) return *mid;
+  return (*mid + *std::max_element(values.begin(), mid)) / 2.0;
 }
 
 /// Cold planning throughput: every plan() is the first one a fresh strategy
@@ -320,54 +383,34 @@ int main(int argc, char** argv) {
   }
 
   // Fault-replanning cost: a DVFS degradation lands mid-stream and the next
-  // plan must price the new frequencies. Replan-delta is the strategy's event
-  // path — scoped invalidation plus per-node repricing of exactly the changed
-  // node. Replan-cold forwards each event stripped of its post-event cluster
-  // state, which sends the strategy down its wholesale fallback: the plan
-  // cache flushes and every cost model rebuilds. Each measured cycle covers
-  // the event fan-out *and* the post-event plan, so the delta side's repair
-  // work is charged where it actually runs. The restore + re-warm step
-  // between cycles is unmeasured (a DVFS recovery is an improvement, which
-  // both configurations absorb with a wholesale flush by design).
+  // plan must price the new frequencies (see ReplanArm). The two arms'
+  // cycles alternate, each pair in swapped order from the last, and each
+  // side reports its median cycle, so one preempted cycle cannot decide the
+  // comparison. The restore + re-warm step between cycles is unmeasured (a
+  // DVFS recovery is an improvement, which both configurations absorb with a
+  // wholesale flush by design).
   std::vector<std::pair<std::string, double>> replan_speedups;
   bool replan_delta_wins = true;
-  const int replan_iterations = smoke ? 3 : 100;
+  const int replan_cycles = smoke ? 5 : 100;
   for (const auto id : models.ids()) {
     const auto& graph = models.graph(id);
-    const auto measure_replan = [&](bool delta) {
-      runtime::Cluster cluster(platform::paper_cluster());
-      core::HidpStrategy::Options options;
-      options.probe_availability = false;
-      core::HidpStrategy strategy(options);
-      cluster.add_observer([&strategy, delta](const runtime::NodeEvent& event) {
-        runtime::NodeEvent forwarded = event;
-        if (!delta) {
-          forwarded.nodes = nullptr;
-          forwarded.network = nullptr;
-        }
-        strategy.on_node_event(forwarded);
-      });
-      runtime::ClusterSnapshot cluster_snap;
-      cluster_snap.nodes = &cluster.nodes();
-      cluster_snap.network = cluster.network().spec();
-      cluster_snap.available.assign(cluster.size(), true);
-      cluster_snap.leader = bench::kDefaultLeader;
-      if (plan_request(strategy, graph, cluster_snap).empty()) return 0.0;  // warm
-      double elapsed_s = 0.0;
-      for (int i = 0; i < replan_iterations; ++i) {
-        cluster.set_dvfs_scale(4, 1.0);                  // restore (unmeasured)
-        (void)plan_request(strategy, graph, cluster_snap);  // re-warm (unmeasured)
-        const auto begin = std::chrono::steady_clock::now();
-        cluster.set_dvfs_scale(4, 0.7);                  // the fault under test
-        const runtime::Plan plan = plan_request(strategy, graph, cluster_snap);
-        const auto end = std::chrono::steady_clock::now();
-        if (plan.empty()) return 0.0;
-        elapsed_s += std::chrono::duration<double>(end - begin).count();
+    ReplanArm cold(/*delta=*/false);
+    ReplanArm delta(/*delta=*/true);
+    bool planned = cold.warm(graph) && delta.warm(graph);
+    std::vector<double> cold_s, delta_s;
+    for (int i = 0; planned && i < replan_cycles; ++i) {
+      for (const bool delta_turn : {i % 2 == 1, i % 2 == 0}) {
+        const double seconds = (delta_turn ? delta : cold).cycle(graph);
+        planned = planned && seconds >= 0.0;
+        (delta_turn ? delta_s : cold_s).push_back(seconds);
       }
-      return elapsed_s > 0.0 ? static_cast<double>(replan_iterations) / elapsed_s : 0.0;
+    }
+    const auto per_sec = [planned](const std::vector<double>& cycles) {
+      const double m = median(cycles);
+      return planned && m > 0.0 ? 1.0 / m : 0.0;
     };
-    const double cold_pps = measure_replan(/*delta=*/false);
-    const double delta_pps = measure_replan(/*delta=*/true);
+    const double cold_pps = per_sec(cold_s);
+    const double delta_pps = per_sec(delta_s);
     record("Replan-cold", dnn::zoo::model_name(id), cold_pps);
     record("Replan-delta", dnn::zoo::model_name(id), delta_pps);
     const double speedup = cold_pps > 0.0 ? delta_pps / cold_pps : 0.0;

@@ -14,29 +14,33 @@ WeightStore::WeightStore(const dnn::DnnGraph& graph, std::uint64_t seed) {
     LayerWeights& w = weights_[static_cast<std::size_t>(layer.id)];
     const dnn::Shape in_shape =
         layer.inputs.empty() ? dnn::Shape{} : graph.layer(layer.inputs.front()).output;
-    auto fill = [&rng](std::vector<float>& v, std::size_t n, float lo, float hi) {
+    auto fill = [&rng](std::vector<float>& v, std::size_t n, double lo, double hi) {
       v.resize(n);
       for (auto& x : v) x = static_cast<float>(rng.uniform(lo, hi));
     };
+    // Draws an [out][fan_in] matrix in row order straight into its panel
+    // slots (pack_panels layout), with no unpacked copy.
+    auto fill_panels = [&rng](std::vector<float>& v, int out, std::size_t fan_in, double lo,
+                              double hi) {
+      v.assign(panel_floats(out, fan_in), 0.0f);
+      for (int oc = 0; oc < out; ++oc) {
+        for (std::size_t r = 0; r < fan_in; ++r) {
+          v[panel_index(oc, r, fan_in)] = static_cast<float>(rng.uniform(lo, hi));
+        }
+      }
+    };
     switch (layer.kind) {
       case LayerKind::kConv2D: {
-        const auto n = static_cast<std::size_t>(layer.params.kernel) *
-                       layer.params.kernel_width() * in_shape.channels *
-                       layer.params.out_channels;
-        w.conv = Tensor(1, 1, static_cast<int>(n));
-        for (std::size_t i = 0; i < n; ++i) {
-          w.conv.data()[i] = static_cast<float>(rng.uniform(-0.1, 0.1));
-        }
+        const auto fan_in = static_cast<std::size_t>(layer.params.kernel) *
+                            layer.params.kernel_width() * in_shape.channels;
+        fill_panels(w.conv, layer.params.out_channels, fan_in, -0.1, 0.1);
         if (layer.params.use_bias) fill(w.bias, static_cast<std::size_t>(layer.params.out_channels), -0.05f, 0.05f);
         break;
       }
       case LayerKind::kDepthwiseConv2D: {
         const auto n = static_cast<std::size_t>(layer.params.kernel) *
                        layer.params.kernel_width() * in_shape.channels;
-        w.conv = Tensor(1, 1, static_cast<int>(n));
-        for (std::size_t i = 0; i < n; ++i) {
-          w.conv.data()[i] = static_cast<float>(rng.uniform(-0.2, 0.2));
-        }
+        fill(w.conv, n, -0.2, 0.2);
         if (layer.params.use_bias) fill(w.bias, static_cast<std::size_t>(in_shape.channels), -0.05f, 0.05f);
         break;
       }
@@ -50,20 +54,19 @@ WeightStore::WeightStore(const dnn::DnnGraph& graph, std::uint64_t seed) {
       }
       case LayerKind::kSqueezeExcite: {
         const auto c = static_cast<std::size_t>(in_shape.channels);
-        const auto r = static_cast<std::size_t>(
-            layer.params.out_channels > 0 ? layer.params.out_channels
-                                          : std::max<int>(1, in_shape.channels / 4));
-        fill(w.se_reduce, r * c, -0.3f, 0.3f);
-        fill(w.se_reduce_bias, r, -0.05f, 0.05f);
-        fill(w.se_expand, c * r, -0.3f, 0.3f);
+        const int r = layer.params.out_channels > 0 ? layer.params.out_channels
+                                                    : std::max<int>(1, in_shape.channels / 4);
+        fill_panels(w.se_reduce, r, c, -0.3f, 0.3f);
+        fill(w.se_reduce_bias, static_cast<std::size_t>(r), -0.05f, 0.05f);
+        fill_panels(w.se_expand, in_shape.channels, static_cast<std::size_t>(r), -0.3f, 0.3f);
         fill(w.se_expand_bias, c, -0.05f, 0.05f);
         break;
       }
       case LayerKind::kDense: {
         const auto in_f = static_cast<std::size_t>(in_shape.elements());
-        const auto out_f = static_cast<std::size_t>(layer.params.out_channels);
-        fill(w.dense, in_f * out_f, -0.05f, 0.05f);
-        if (layer.params.use_bias) fill(w.bias, out_f, -0.05f, 0.05f);
+        const int out_f = layer.params.out_channels;
+        fill_panels(w.dense, out_f, in_f, -0.05f, 0.05f);
+        if (layer.params.use_bias) fill(w.bias, static_cast<std::size_t>(out_f), -0.05f, 0.05f);
         break;
       }
       default:

@@ -11,7 +11,9 @@ namespace hidp::tensor {
 
 /// Generates and owns per-layer weights for a graph. Weights are derived
 /// from (seed, layer id) so two stores with the same seed agree — the
-/// partitioned executor shares the reference executor's store.
+/// partitioned executor shares the reference executor's store. Matrices
+/// are drawn in plain [out][fan_in] row order, each value straight into its
+/// pack_panels slot.
 class WeightStore {
  public:
   WeightStore(const dnn::DnnGraph& graph, std::uint64_t seed);

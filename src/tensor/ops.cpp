@@ -28,6 +28,19 @@ float activate(float v, Activation act) noexcept {
 
 }  // namespace
 
+std::vector<float> pack_panels(const std::vector<float>& rows, int out, std::size_t fan_in) {
+  if (out < 0 || rows.size() != static_cast<std::size_t>(out) * fan_in) {
+    throw std::invalid_argument("pack_panels: rows is not an out x fan_in matrix");
+  }
+  std::vector<float> panels(panel_floats(out, fan_in), 0.0f);
+  for (int oc = 0; oc < out; ++oc) {
+    for (std::size_t r = 0; r < fan_in; ++r) {
+      panels[panel_index(oc, r, fan_in)] = rows[static_cast<std::size_t>(oc) * fan_in + r];
+    }
+  }
+  return panels;
+}
+
 void apply_activation(Tensor& t, Activation act) {
   if (act == Activation::kNone) return;
   float* data = t.data();
@@ -36,8 +49,8 @@ void apply_activation(Tensor& t, Activation act) {
 
 namespace {
 
-constexpr int kOcBlock = 8;   ///< output channels accumulated together
-constexpr int kColBlock = 4;  ///< output columns per accumulator tile
+constexpr int kOcBlock = kPanelWidth;  ///< output channels accumulated together
+constexpr int kColBlock = 4;           ///< output columns per accumulator tile
 
 /// Index range [lo, hi).
 struct Range {
@@ -109,15 +122,20 @@ Lanes<NT> splat(float v) noexcept {
   }
 }
 
+/// p[0..4), unaligned.
+f32x4 load4(const float* p) noexcept {
+  f32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 /// p[0], p[stride], ... for each lane.
 template <int NT>
 Lanes<NT> load_lanes(const float* p, int stride) noexcept {
   if constexpr (NT == 1) {
     return *p;
   } else if (stride == 1) {
-    f32x4 v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
+    return load4(p);
   } else {
     return f32x4{p[0], p[stride], p[2 * stride], p[3 * stride]};
   }
@@ -128,20 +146,28 @@ void store_lanes(float (&out)[kColBlock], Lanes<NT> v) noexcept {  // first NT c
   std::memcpy(out, &v, sizeof v);
 }
 
-/// Output channels [oc0, oc0 + 8): each one's weight row and bias. A short
-/// last block repeats its final channel; only `count` rows are stored.
+/// The weights (pack_panels layout) of a layer whose kernel reads them, after
+/// a check that they are packed for out_c x fan_in.
+const float* panels_of(const std::vector<float>& w, int out_c, std::size_t fan_in) {
+  if (w.size() != panel_floats(out_c, fan_in)) {
+    throw std::invalid_argument("weights are not packed as out_c x fan_in panels");
+  }
+  return w.data();
+}
+
+/// Output channels [oc0, oc0 + 8): their weight panel, w(j, r) at
+/// panel[r * 8 + j], and their biases. Lanes past out_c have zero weights
+/// and bias; only `count` rows are stored.
 struct ChannelBlock {
-  const float* w_rows[kOcBlock];
+  const float* panel;
   float bias[kOcBlock];
   int count;
 
   ChannelBlock(const float* w, std::size_t fan_in, const std::vector<float>& b, int oc0,
                int out_c)
-      : count(std::min(kOcBlock, out_c - oc0)) {
+      : panel(w + panel_index(oc0, 0, fan_in)), count(std::min(kOcBlock, out_c - oc0)) {
     for (int j = 0; j < kOcBlock; ++j) {
-      const auto oc = static_cast<std::size_t>(oc0 + std::min(j, count - 1));
-      w_rows[j] = w + oc * fan_in;
-      bias[j] = b.empty() ? 0.0f : b[oc];
+      bias[j] = j < count && !b.empty() ? b[static_cast<std::size_t>(oc0 + j)] : 0.0f;
     }
   }
 };
@@ -176,20 +202,71 @@ void matmul_tile(const ChannelBlock& block, const float* x, std::size_t x_plane,
   Lanes<NT> a[kOcBlock];
   for (int j = 0; j < kOcBlock; ++j) a[j] = splat<NT>(block.bias[j]);
   const float* xr = x + t0;
-  for (int ic = 0; ic < in_c; ++ic, xr += x_plane) {
+  const float* w = block.panel;
+  for (int ic = 0; ic < in_c; ++ic, xr += x_plane, w += kOcBlock) {
     const Lanes<NT> xv = load_lanes<NT>(xr, 1);
-    for (int j = 0; j < kOcBlock; ++j) a[j] += xv * block.w_rows[j][ic];
+    for (int j = 0; j < kOcBlock; ++j) a[j] += xv * w[j];
   }
   for (int j = 0; j < kOcBlock; ++j) store_lanes<NT>(acc[j], a[j]);
 }
 
+/// One column of y for NP consecutive channel blocks, vectorised over each
+/// block's 8 channels: two f32x4 accumulators per panel, NP panels in flight
+/// so their add chains overlap. Lane j sums bias, then ic ascending, exactly
+/// as the column tiles do. x[ic * x_plane] is the column's input ic; row j
+/// of block p goes to y[(p * 8 + j) * y_plane].
+template <int NP>
+void matvec_blocks(const ChannelBlock* blocks, const float* x, std::size_t x_plane, int in_c,
+                   float* y, std::size_t y_plane) {
+  f32x4 lo[NP], hi[NP];
+  for (int p = 0; p < NP; ++p) {
+    lo[p] = load4(blocks[p].bias);
+    hi[p] = load4(blocks[p].bias + 4);
+  }
+  for (int ic = 0; ic < in_c; ++ic, x += x_plane) {
+    const f32x4 xv = splat<kColBlock>(*x);
+    const auto r = static_cast<std::size_t>(ic) * kOcBlock;
+    for (int p = 0; p < NP; ++p) {
+      lo[p] += xv * load4(blocks[p].panel + r);
+      hi[p] += xv * load4(blocks[p].panel + r + 4);
+    }
+  }
+  for (int p = 0; p < NP; ++p) {
+    float acc[kOcBlock];
+    std::memcpy(acc, &lo[p], sizeof lo[p]);
+    std::memcpy(acc + 4, &hi[p], sizeof hi[p]);
+    float* yp = y + static_cast<std::size_t>(p) * kOcBlock * y_plane;
+    for (int j = 0; j < blocks[p].count; ++j) yp[static_cast<std::size_t>(j) * y_plane] = acc[j];
+  }
+}
+
 /// y[oc][t] = bias[oc] + w[oc][:] . x[:][t]: the [out_c x in_c] . [in_c x n]
 /// product behind pointwise convolution, the SqueezeExcite gate and dense
-/// layers. x holds in_c planes of n contiguous columns, x_plane apart.
-void matmul(const float* x, std::size_t x_plane, std::size_t n, int in_c, const float* w,
-            const std::vector<float>& bias, int out_c, float* y) {
+/// layers. x holds in_c planes of n contiguous columns, x_plane apart; the
+/// weights are out_c x in_c panels.
+void matmul(const float* x, std::size_t x_plane, std::size_t n, int in_c,
+            const std::vector<float>& weights, const std::vector<float>& bias, int out_c,
+            float* y) {
+  const auto fan_in = static_cast<std::size_t>(in_c);
+  const float* w = panels_of(weights, out_c, fan_in);
+  if (n < kColBlock) {  // too few columns to fill a tile: vectorise over channels
+    for (std::size_t t = 0; t < n; ++t) {
+      for (int oc0 = 0; oc0 < out_c; oc0 += 2 * kOcBlock) {
+        const ChannelBlock blocks[2] = {
+            {w, fan_in, bias, oc0, out_c},
+            {w, fan_in, bias, std::min(oc0 + kOcBlock, out_c), out_c}};
+        float* yt = y + static_cast<std::size_t>(oc0) * n + t;
+        if (blocks[1].count > 0) {
+          matvec_blocks<2>(blocks, x + t, x_plane, in_c, yt, n);
+        } else {
+          matvec_blocks<1>(blocks, x + t, x_plane, in_c, yt, n);
+        }
+      }
+    }
+    return;
+  }
   for (int oc0 = 0; oc0 < out_c; oc0 += kOcBlock) {
-    const ChannelBlock block(w, static_cast<std::size_t>(in_c), bias, oc0, out_c);
+    const ChannelBlock block(w, fan_in, bias, oc0, out_c);
     for_each_tile(n, block, y + static_cast<std::size_t>(oc0) * n, n,
                   [&](auto nt, std::size_t t0, Tile& acc) {
                     matmul_tile<nt()>(block, x, x_plane, in_c, t0, acc);
@@ -200,8 +277,8 @@ void matmul(const float* x, std::size_t x_plane, std::size_t n, int in_c, const 
 /// Columns [t0, t0 + NT) of output row oy of a spatial convolution for one
 /// channel block: bias, then ic, ky, kx ascending over the taps inside the
 /// tensor (a lane whose tap falls in the padding adds 0 * w, as the scalar
-/// loops do). Weights keep their [oc][ic][kh][kw] layout, so each channel's
-/// row streams contiguously.
+/// loops do). Weights are panels of [oc][ic][kh][kw], so the block's eight
+/// weights for one tap are contiguous.
 template <int NT>
 void conv_tile(const WindowGeometry& g, const RowWindow& input, int in_c, int oy,
                const ChannelBlock& block, int t0, Tile& acc) {
@@ -227,7 +304,8 @@ void conv_tile(const WindowGeometry& g, const RowWindow& input, int in_c, int oy
           }
         }
         const std::size_t r = r0 + static_cast<std::size_t>(kx);
-        for (int j = 0; j < kOcBlock; ++j) a[j] += xv * block.w_rows[j][r];
+        const float* w = block.panel + r * kOcBlock;
+        for (int j = 0; j < kOcBlock; ++j) a[j] += xv * w[j];
       }
     }
   }
@@ -264,21 +342,21 @@ Tensor conv2d_rows(const Layer& layer, const RowWindow& input, const LayerWeight
   Tensor out(out_c, rows, g.out_w);
   g.require(input, out_begin, out_end);
   if (rows <= 0) return out;
-  const float* w = weights.conv.data();
   const auto out_plane = static_cast<std::size_t>(rows) * static_cast<std::size_t>(g.out_w);
 
   if (g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad_h == 0 && g.pad_w == 0) {
     // Output row oy reads input row oy, so each channel's rows are contiguous.
     const auto in_plane =
         static_cast<std::size_t>(input.data.height()) * static_cast<std::size_t>(g.in_w);
-    matmul(input.row(0, out_begin), in_plane, out_plane, in_c, w, weights.bias, out_c,
-           out.data());
+    matmul(input.row(0, out_begin), in_plane, out_plane, in_c, weights.conv, weights.bias,
+           out_c, out.data());
     apply_activation(out, layer.params.activation);
     return out;
   }
 
   // Blocks of 8 output channels x tiles of one output row's columns.
   const std::size_t fan_in = static_cast<std::size_t>(in_c) * g.kh * g.kw;
+  const float* w = panels_of(weights.conv, out_c, fan_in);
   for (int oc0 = 0; oc0 < out_c; oc0 += kOcBlock) {
     const ChannelBlock block(w, fan_in, weights.bias, oc0, out_c);
     for (int oy = out_begin; oy < out_end; ++oy) {
@@ -462,11 +540,11 @@ std::vector<float> se_gate(const Layer& layer, const LayerWeights& weights,
     mean[c] = static_cast<float>(channel_sums[c] / static_cast<double>(count_per_channel));
   }
   std::vector<float> hidden(reduced);
-  matmul(mean.data(), 1, 1, static_cast<int>(channels), weights.se_reduce.data(),
+  matmul(mean.data(), 1, 1, static_cast<int>(channels), weights.se_reduce,
          weights.se_reduce_bias, static_cast<int>(reduced), hidden.data());
   for (float& h : hidden) h = activate(h, Activation::kSwish);
   std::vector<float> gate(channels);
-  matmul(hidden.data(), 1, 1, static_cast<int>(reduced), weights.se_expand.data(),
+  matmul(hidden.data(), 1, 1, static_cast<int>(reduced), weights.se_expand,
          weights.se_expand_bias, static_cast<int>(channels), gate.data());
   for (float& g : gate) g = activate(g, Activation::kSigmoid);
   return gate;
@@ -513,7 +591,7 @@ Tensor dense(const Layer& layer, const Tensor& input, const LayerWeights& weight
   const auto in_f = static_cast<std::size_t>(input.shape().elements());
   const auto out_f = static_cast<std::size_t>(layer.output.channels);
   Tensor out(static_cast<int>(out_f), 1, 1);
-  matmul(input.data(), 1, 1, static_cast<int>(in_f), weights.dense.data(), weights.bias,
+  matmul(input.data(), 1, 1, static_cast<int>(in_f), weights.dense, weights.bias,
          static_cast<int>(out_f), out.data());
   apply_activation(out, layer.params.activation);
   return out;

@@ -11,26 +11,55 @@
 // pointers. Convolutions accumulate 8 output channels x 4 output columns
 // at a time, and a 1x1 convolution is one matrix product over contiguous
 // channel planes (shared with dense layers and the SqueezeExcite gate).
-// Every output element still sums in the order of the plain scalar loops
-// (bias, then ic, ky, kx ascending), so the kernels reproduce those loops
-// bit for bit up to the sign of a zero. The loops live on as the test
-// oracle in tests/oracle_kernels.hpp. No threads, no packed weight copies.
+// Products of fewer than 4 columns (1x1 spatial maps, the SE gate, dense
+// layers) vectorise over 8 output channels instead, two panels at a time.
+// Every weight those kernels read is packed into 8-channel panels (see
+// pack_panels), so a block's weights for one input tap are 8 contiguous
+// floats. Every output element still sums in the order of the plain
+// scalar loops (bias, then ic, ky, kx ascending), so the kernels reproduce
+// those loops bit for bit up to the sign of a zero. The loops live on as
+// the test oracle in tests/oracle_kernels.hpp. No threads.
 #pragma once
+
+#include <cstddef>
+#include <vector>
 
 #include "dnn/layer.hpp"
 #include "tensor/tensor.hpp"
 
 namespace hidp::tensor {
 
+/// Output channels per weight panel.
+inline constexpr int kPanelWidth = 8;
+
+/// Floats in the panels of an [out][fan_in] weight matrix: ceil(out / 8)
+/// panels of fan_in x 8, the last one zero-padded past `out`.
+constexpr std::size_t panel_floats(int out, std::size_t fan_in) noexcept {
+  return static_cast<std::size_t>((out + kPanelWidth - 1) / kPanelWidth) * fan_in * kPanelWidth;
+}
+
+/// Where weight (oc, r) of an [out][fan_in] matrix lives in its panels:
+/// panel oc / 8, row r, lane oc % 8.
+constexpr std::size_t panel_index(int oc, std::size_t r, std::size_t fan_in) noexcept {
+  return (static_cast<std::size_t>(oc / kPanelWidth) * fan_in + r) * kPanelWidth +
+         static_cast<std::size_t>(oc % kPanelWidth);
+}
+
+/// Packs plain [out][fan_in] rows into panels (padding lanes are 0).
+std::vector<float> pack_panels(const std::vector<float>& rows, int out, std::size_t fan_in);
+
 /// Layer weights (deterministic pseudo-random stand-ins for trained ones;
 /// equivalence of partitioned execution does not depend on the values).
+/// "Panels" means the pack_panels layout of the named [out][fan_in] matrix.
 struct LayerWeights {
-  Tensor conv;          ///< conv: [out][in][kh][kw] flattened into CHW abuse
+  /// Conv2D: panels of [out][in * kh * kw] (fan-in ordered ic, ky, kx).
+  /// Depthwise: plain [c][kh][kw].
+  std::vector<float> conv;
   std::vector<float> bias;
   std::vector<float> bn_gamma, bn_beta, bn_mean, bn_var;
-  std::vector<float> se_reduce, se_reduce_bias;  ///< [r][c] flattened
-  std::vector<float> se_expand, se_expand_bias;  ///< [c][r] flattened
-  std::vector<float> dense;                      ///< [out][in] flattened
+  std::vector<float> se_reduce, se_reduce_bias;  ///< panels of [r][c]
+  std::vector<float> se_expand, se_expand_bias;  ///< panels of [c][r]
+  std::vector<float> dense;                      ///< panels of [out][in]
 };
 
 /// conv / depthwise-conv / pool over output rows [out_begin, out_end).

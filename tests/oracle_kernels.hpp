@@ -1,14 +1,19 @@
-// Test oracle for the direct window kernels in src/tensor/ops.cpp: the
-// plain scalar loops they replaced, one checked element read per tap.
-// Every output element sums bias, then ic, ky and kx ascending, and pooling
-// visits taps in ky, kx order; the direct kernels must reproduce these
-// loops bit for bit (up to the sign of a zero: the loops add padded taps
-// as 0 * w where the kernels may skip them).
+// Test oracle for the direct window kernels and the panel products in
+// src/tensor/ops.cpp: the plain scalar loops they replaced, one checked
+// element read per tap. Every output element sums bias, then ic, ky and kx
+// ascending, and pooling visits taps in ky, kx order; the kernels must
+// reproduce these loops bit for bit (up to the sign of a zero: the loops
+// add padded taps as 0 * w where the kernels may skip them). The oracle
+// reads weights in their plain layouts, not pack_panels panels: Conv2D
+// [oc][ic][kh][kw], depthwise [c][kh][kw], dense [out][in], SqueezeExcite
+// reduce [r][c] and expand [c][r].
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "tensor/ops.hpp"
 
@@ -130,6 +135,54 @@ inline Tensor pool2d_rows(const dnn::Layer& layer, const RowWindow& input, int o
     }
   }
   return out;
+}
+
+/// y[o] = bias[o] + sum over i ascending of w[o][i] * x[i], then the
+/// layer's activation.
+inline Tensor dense(const dnn::Layer& layer, const Tensor& input, const LayerWeights& weights) {
+  const auto in_f = static_cast<std::size_t>(input.shape().elements());
+  const int out_f = layer.output.channels;
+  Tensor out(out_f, 1, 1);
+  for (int o = 0; o < out_f; ++o) {
+    float acc = weights.bias.empty() ? 0.0f : weights.bias[static_cast<std::size_t>(o)];
+    for (std::size_t i = 0; i < in_f; ++i) {
+      acc += input.data()[i] * weights.dense[static_cast<std::size_t>(o) * in_f + i];
+    }
+    out.at(o, 0, 0) = acc;
+  }
+  apply_activation(out, layer.params.activation);
+  return out;
+}
+
+/// The SqueezeExcite gate from global channel sums: mean, reduce + swish,
+/// expand + sigmoid, each product summing bias then inputs ascending.
+inline std::vector<float> se_gate(const dnn::Layer& layer, const LayerWeights& weights,
+                                  const std::vector<double>& channel_sums,
+                                  std::int64_t count_per_channel) {
+  const int channels = static_cast<int>(channel_sums.size());
+  const int reduced = layer.params.out_channels > 0 ? layer.params.out_channels
+                                                    : std::max(1, channels / 4);
+  Tensor hidden(reduced, 1, 1);
+  for (int r = 0; r < reduced; ++r) {
+    float acc = weights.se_reduce_bias[static_cast<std::size_t>(r)];
+    for (int c = 0; c < channels; ++c) {
+      const auto mean = static_cast<float>(channel_sums[static_cast<std::size_t>(c)] /
+                                           static_cast<double>(count_per_channel));
+      acc += mean * weights.se_reduce[static_cast<std::size_t>(r) * channels + c];
+    }
+    hidden.at(r, 0, 0) = acc;
+  }
+  apply_activation(hidden, dnn::Activation::kSwish);
+  Tensor gate(channels, 1, 1);
+  for (int c = 0; c < channels; ++c) {
+    float acc = weights.se_expand_bias[static_cast<std::size_t>(c)];
+    for (int r = 0; r < reduced; ++r) {
+      acc += hidden.at(r, 0, 0) * weights.se_expand[static_cast<std::size_t>(c) * reduced + r];
+    }
+    gate.at(c, 0, 0) = acc;
+  }
+  apply_activation(gate, dnn::Activation::kSigmoid);
+  return std::vector<float>(gate.data(), gate.data() + gate.size());
 }
 
 }  // namespace hidp::tensor::oracle

@@ -4,6 +4,12 @@
 // synthetic CNNs and the real zoo architectures at reduced resolution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "dnn/zoo/zoo.hpp"
 #include "tensor/slicing.hpp"
 #include "util/rng.hpp"
@@ -206,6 +212,97 @@ TEST(Equivalence, TopPredictionUnchanged) {
     }
     EXPECT_EQ(argmax_whole, argmax_sliced);
   }
+}
+
+// ---- packed weights --------------------------------------------------------
+
+/// Checks `panels` against plain [out][fan_in] `rows`: weight (oc, r) sits
+/// in panel oc / 8 at row r, lane oc % 8 (spelled out here rather than
+/// taken from the library), and every slot no weight fills is 0.
+void expect_panels_hold(const std::vector<float>& panels, const std::vector<float>& rows,
+                        int out, std::size_t fan_in, const std::string& what) {
+  const auto n_panels = static_cast<std::size_t>((out + 7) / 8);
+  ASSERT_EQ(panels.size(), n_panels * fan_in * 8) << what;
+  std::vector<bool> filled(panels.size(), false);
+  std::size_t wrong = 0;
+  for (int oc = 0; oc < out; ++oc) {
+    for (std::size_t r = 0; r < fan_in; ++r) {
+      const std::size_t slot =
+          (static_cast<std::size_t>(oc / 8) * fan_in + r) * 8 + static_cast<std::size_t>(oc % 8);
+      filled[slot] = true;
+      const float want = rows[static_cast<std::size_t>(oc) * fan_in + r];
+      if (std::bit_cast<std::uint32_t>(panels[slot]) != std::bit_cast<std::uint32_t>(want)) {
+        ++wrong;
+      }
+    }
+  }
+  std::size_t dirty_padding = 0;
+  for (std::size_t i = 0; i < panels.size(); ++i) {
+    if (!filled[i] && std::bit_cast<std::uint32_t>(panels[i]) != 0u) ++dirty_padding;
+  }
+  EXPECT_EQ(wrong, 0u) << what << ": weights that differ from the plain draw";
+  EXPECT_EQ(dirty_padding, 0u) << what << ": nonzero padding slots";
+}
+
+TEST(WeightStore, PanelsHoldThePlainRowOrderDraw) {
+  // Regenerates each layer's weights as the store drew them before packing
+  // (same per-layer seed, same order: [oc][r] row by row) and unpacks every
+  // Conv2D, SqueezeExcite and Dense panel against them.
+  constexpr std::uint64_t kSeed = 1234;
+  int checked = 0, padded = 0;
+  for (const DnnGraph& g : {dnn::zoo::build_efficientnet_b0(16, 1000), mixed_graph()}) {
+    const WeightStore store(g, kSeed);
+    for (const dnn::Layer& layer : g.layers()) {
+      util::Rng rng(kSeed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(layer.id + 1)));
+      auto draw = [&rng](std::size_t n, double lo, double hi) {
+        std::vector<float> v(n);
+        for (float& x : v) x = static_cast<float>(rng.uniform(lo, hi));
+        return v;
+      };
+      const dnn::Shape in = layer.inputs.empty() ? dnn::Shape{} : g.layer(layer.inputs.front()).output;
+      const LayerWeights& w = store.weights(layer.id);
+      const std::string what = g.name() + " layer " + std::to_string(layer.id);
+      auto check = [&](const std::vector<float>& panels, const std::vector<float>& rows, int out,
+                       std::size_t fan_in, const std::string& part) {
+        expect_panels_hold(panels, rows, out, fan_in, what + " " + part);
+        ++checked;
+        if (out % 8 != 0) ++padded;
+      };
+      switch (layer.kind) {
+        case dnn::LayerKind::kConv2D: {
+          const auto fan_in = static_cast<std::size_t>(layer.params.kernel) *
+                              static_cast<std::size_t>(layer.params.kernel_width()) *
+                              static_cast<std::size_t>(in.channels);
+          const int out = layer.params.out_channels;
+          check(w.conv, draw(static_cast<std::size_t>(out) * fan_in, -0.1, 0.1), out, fan_in,
+                "conv");
+          break;
+        }
+        case dnn::LayerKind::kSqueezeExcite: {
+          const int c = in.channels;
+          const int r = layer.params.out_channels > 0 ? layer.params.out_channels
+                                                      : std::max(1, c / 4);
+          const auto cz = static_cast<std::size_t>(c);
+          const auto rz = static_cast<std::size_t>(r);
+          check(w.se_reduce, draw(rz * cz, -0.3f, 0.3f), r, cz, "se_reduce");
+          (void)draw(rz, -0.05f, 0.05f);  // reduce bias
+          check(w.se_expand, draw(cz * rz, -0.3f, 0.3f), c, rz, "se_expand");
+          break;
+        }
+        case dnn::LayerKind::kDense: {
+          const auto in_f = static_cast<std::size_t>(in.elements());
+          const int out = layer.params.out_channels;
+          check(w.dense, draw(in_f * static_cast<std::size_t>(out), -0.05f, 0.05f), out, in_f,
+                "dense");
+          break;
+        }
+        default:
+          break;
+      }
+    }
+  }
+  EXPECT_GT(checked, 50);
+  EXPECT_GT(padded, 0);  // some matrices have a ragged last panel
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Unit tests for the tensor ops: hand-computed golden values, a seeded
-// property test holding the direct window kernels bit-identical to the
-// scalar oracle loops, and the window check that catches slicing bugs.
+// Unit tests for the tensor ops: hand-computed golden values, seeded
+// property tests holding the direct window kernels and the panel products
+// bit-identical to the scalar oracle loops, and the window check that
+// catches slicing bugs.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -8,6 +9,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "oracle_kernels.hpp"
 #include "tensor/ops.hpp"
@@ -86,9 +88,7 @@ TEST(Ops, Conv1x1IsChannelMix) {
   // 1x1 conv with known weights: out = 2*in0 + 3*in1 + bias(1).
   Layer l = conv_layer(2, 1, 1, 1, true);
   LayerWeights w;
-  w.conv = Tensor(1, 1, 2);
-  w.conv.data()[0] = 2.0f;
-  w.conv.data()[1] = 3.0f;
+  w.conv = pack_panels({2.0f, 3.0f}, 1, 2);
   w.bias = {1.0f};
   Tensor in(2, 4, 4);
   in.at(0, 1, 1) = 5.0f;
@@ -101,9 +101,10 @@ TEST(Ops, Conv1x1IsChannelMix) {
 TEST(Ops, Conv3x3IdentityKernel) {
   // Kernel with 1 at centre reproduces the input (same padding).
   Layer l = conv_layer(1, 1, 3, 1, true);
+  std::vector<float> kernel(9, 0.0f);
+  kernel[4] = 1.0f;  // centre tap
   LayerWeights w;
-  w.conv = Tensor(1, 1, 9);
-  w.conv.data()[4] = 1.0f;  // centre tap
+  w.conv = pack_panels(kernel, 1, 9);
   w.bias = {0.0f};
   util::Rng rng(3);
   const Tensor in = Tensor::random(dnn::Shape{1, 4, 4}, rng);
@@ -114,8 +115,7 @@ TEST(Ops, Conv3x3IdentityKernel) {
 TEST(Ops, ConvReluClampsNegative) {
   Layer l = conv_layer(1, 1, 1, 1, true, Activation::kRelu);
   LayerWeights w;
-  w.conv = Tensor(1, 1, 1);
-  w.conv.data()[0] = -1.0f;
+  w.conv = pack_panels({-1.0f}, 1, 1);
   w.bias = {0.0f};
   Tensor in(1, 4, 4);
   in.at(0, 0, 0) = 3.0f;
@@ -132,9 +132,7 @@ TEST(Ops, DepthwiseKeepsChannelsSeparate) {
   l.params.use_bias = false;
   l.output = dnn::Shape{2, 2, 2};
   LayerWeights w;
-  w.conv = Tensor(1, 1, 2);
-  w.conv.data()[0] = 10.0f;
-  w.conv.data()[1] = 100.0f;
+  w.conv = {10.0f, 100.0f};  // depthwise weights stay plain [c][kh][kw]
   Tensor in(2, 2, 2);
   in.at(0, 0, 0) = 1.0f;
   in.at(1, 0, 0) = 1.0f;
@@ -218,7 +216,7 @@ TEST(Ops, DenseMatvec) {
   l.params.out_channels = 2;
   l.output = dnn::Shape{2, 1, 1};
   LayerWeights w;
-  w.dense = {1.0f, 2.0f, 3.0f, 4.0f};  // [out][in]
+  w.dense = pack_panels({1.0f, 2.0f, 3.0f, 4.0f}, 2, 2);  // [out][in]
   w.bias = {0.5f, -0.5f};
   Tensor in(2, 1, 1);
   in.at(0, 0, 0) = 10.0f;
@@ -267,6 +265,45 @@ TEST(Ops, ActivationsApplied) {
   EXPECT_NEAR(sig.at(0, 0, 1), 1.0f / (1.0f + std::exp(-3.0f)), 1e-6);
 }
 
+TEST(PackPanels, LaysOutEightChannelPanelsAndZeroPadsTheLast) {
+  // 9 x 2 matrix with w(oc, r) = 10 * oc + r + 1: two panels of 2 x 8.
+  std::vector<float> rows;
+  for (int oc = 0; oc < 9; ++oc) {
+    for (int r = 0; r < 2; ++r) rows.push_back(static_cast<float>(10 * oc + r + 1));
+  }
+  const std::vector<float> panels = pack_panels(rows, 9, 2);
+  ASSERT_EQ(panels.size(), 32u);
+  EXPECT_EQ(panels.size(), panel_floats(9, 2));
+  EXPECT_FLOAT_EQ(panels[0], 1.0f);    // (0, 0)
+  EXPECT_FLOAT_EQ(panels[1], 11.0f);   // (1, 0): next lane
+  EXPECT_FLOAT_EQ(panels[7], 71.0f);   // (7, 0)
+  EXPECT_FLOAT_EQ(panels[8], 2.0f);    // (0, 1): next row
+  EXPECT_FLOAT_EQ(panels[15], 72.0f);  // (7, 1)
+  EXPECT_FLOAT_EQ(panels[16], 81.0f);  // (8, 0): second panel
+  EXPECT_FLOAT_EQ(panels[24], 82.0f);  // (8, 1)
+  for (int lane = 1; lane < 8; ++lane) {
+    EXPECT_EQ(panels[16 + lane], 0.0f);
+    EXPECT_EQ(panels[24 + lane], 0.0f);
+  }
+  for (int oc = 0; oc < 9; ++oc) {
+    for (std::size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(panels[panel_index(oc, r, 2)], rows[static_cast<std::size_t>(oc) * 2 + r]);
+    }
+  }
+  EXPECT_THROW(pack_panels(rows, 9, 3), std::invalid_argument);
+}
+
+TEST(PackPanels, KernelsRejectUnpackedWeights) {
+  // 9 output channels pad to 16 panel lanes, so plain rows have the wrong size.
+  Layer l = conv_layer(2, 9, 1, 1, true);
+  LayerWeights w;
+  w.conv.assign(9 * 2, 0.5f);
+  const Tensor in(2, 4, 4);
+  EXPECT_THROW(conv2d_rows(l, RowWindow::full(in), w, 0, 4), std::invalid_argument);
+  w.conv = pack_panels(w.conv, 9, 2);
+  EXPECT_NO_THROW(conv2d_rows(l, RowWindow::full(in), w, 0, 4));
+}
+
 // ---- direct kernels vs the scalar oracle -----------------------------------
 
 struct WindowCase {
@@ -304,16 +341,35 @@ bool make_layer(const WindowCase& wc, Layer& l) {
   return true;
 }
 
+/// n values drawn as Tensor::random draws them.
+std::vector<float> random_values(std::size_t n, util::Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return v;
+}
+
+/// Random weights in the oracle's plain layout ([oc][ic][kh][kw] or
+/// [c][kh][kw]).
 LayerWeights random_weights(const WindowCase& wc, util::Rng& rng) {
   const int kw = wc.kernel_w > 0 ? wc.kernel_w : wc.kernel;
   const int filters = wc.kind == LayerKind::kConv2D ? wc.out_c : wc.in_c;
   const int fan_in = wc.kind == LayerKind::kConv2D ? wc.in_c : 1;
   LayerWeights w;
-  w.conv = Tensor::random(dnn::Shape{1, 1, filters * fan_in * wc.kernel * kw}, rng);
+  w.conv = random_values(static_cast<std::size_t>(filters * fan_in * wc.kernel * kw), rng);
   if (rng.uniform(0.0, 1.0) < 0.7) {
     for (int i = 0; i < filters; ++i) w.bias.push_back(static_cast<float>(rng.uniform(-1, 1)));
   }
   return w;
+}
+
+/// The kernels' copy of plain weights: Conv2D weights packed into panels.
+LayerWeights packed(const Layer& l, int in_c, LayerWeights plain) {
+  if (l.kind == LayerKind::kConv2D) {
+    const auto fan_in = static_cast<std::size_t>(in_c) * static_cast<std::size_t>(l.params.kernel) *
+                        static_cast<std::size_t>(l.params.kernel_width());
+    plain.conv = pack_panels(plain.conv, l.output.channels, fan_in);
+  }
+  return plain;
 }
 
 /// Bit patterns equal, with +0 and -0 treated as the same value.
@@ -340,6 +396,7 @@ void expect_matches_oracle(const WindowCase& wc, util::Rng& rng) {
   Layer l;
   if (!make_layer(wc, l)) return;
   const LayerWeights w = random_weights(wc, rng);
+  const LayerWeights pw = packed(l, wc.in_c, w);
   const Tensor full = Tensor::random(dnn::Shape{wc.in_c, wc.height, wc.width}, rng);
   const int out_h = l.output.height;
   const int kh = l.params.kernel;
@@ -349,11 +406,11 @@ void expect_matches_oracle(const WindowCase& wc, util::Rng& rng) {
     Tensor got, want;
     switch (wc.kind) {
       case LayerKind::kConv2D:
-        got = conv2d_rows(l, window, w, ob, oe);
+        got = conv2d_rows(l, window, pw, ob, oe);
         want = oracle::conv2d_rows(l, window, w, ob, oe);
         break;
       case LayerKind::kDepthwiseConv2D:
-        got = depthwise_conv2d_rows(l, window, w, ob, oe);
+        got = depthwise_conv2d_rows(l, window, pw, ob, oe);
         want = oracle::depthwise_conv2d_rows(l, window, w, ob, oe);
         break;
       default: {
@@ -462,6 +519,75 @@ TEST(DirectKernels, PointwiseMatchesOracleOnOddChannelCounts) {
   }
 }
 
+TEST(PanelProducts, MatchOracleBitwiseAroundPanelAndTileEdges) {
+  // The products that read weight panels: 1x1 convolution, dense layers and
+  // the SqueezeExcite gate, at channel counts around the 8-channel panel
+  // (pairs of panels and a lone last one) and column counts on both sides
+  // of the 4-column tile, so the channel-vectorised path, the column tiles
+  // and their ragged tail all run.
+  util::Rng rng(20261019);
+  static const Activation kActs[] = {Activation::kNone, Activation::kRelu, Activation::kSwish};
+  for (int out : {1, 7, 8, 9, 17, 33}) {
+    for (int in : {1, 3, 64, 1152}) {
+      const Activation act = kActs[rng.uniform_int(0, 2)];
+      for (int cols : {1, 2, 3, 4, 5, 9}) {
+        Layer conv = conv_layer(in, out, 1, 1, true, act);
+        conv.output = dnn::Shape{out, 1, cols};
+        LayerWeights plain;
+        plain.conv = random_values(static_cast<std::size_t>(out) * in, rng);
+        plain.bias = random_values(static_cast<std::size_t>(out), rng);
+        LayerWeights pw = plain;
+        pw.conv = pack_panels(plain.conv, out, static_cast<std::size_t>(in));
+        const RowWindow x = RowWindow::full(Tensor::random(dnn::Shape{in, 1, cols}, rng));
+        std::string where;
+        EXPECT_TRUE(same_bits(conv2d_rows(conv, x, pw, 0, 1),
+                              oracle::conv2d_rows(conv, x, plain, 0, 1), where))
+            << "1x1 conv out=" << out << " in=" << in << " cols=" << cols << ": " << where;
+      }
+
+      Layer fc;
+      fc.kind = LayerKind::kDense;
+      fc.params.out_channels = out;
+      fc.params.activation = act;
+      fc.output = dnn::Shape{out, 1, 1};
+      LayerWeights plain;
+      plain.dense = random_values(static_cast<std::size_t>(out) * in, rng);
+      if (rng.uniform(0.0, 1.0) < 0.7) plain.bias = random_values(static_cast<std::size_t>(out), rng);
+      LayerWeights pw = plain;
+      pw.dense = pack_panels(plain.dense, out, static_cast<std::size_t>(in));
+      const Tensor x = Tensor::random(dnn::Shape{in, 1, 1}, rng);
+      std::string where;
+      EXPECT_TRUE(same_bits(dense(fc, x, pw), oracle::dense(fc, x, plain), where))
+          << "dense out=" << out << " in=" << in << ": " << where;
+
+      // SE over `in` channels reduced to `out`: reduce is out x in, expand
+      // in x out.
+      Layer se;
+      se.kind = LayerKind::kSqueezeExcite;
+      se.params.out_channels = out;
+      LayerWeights se_plain;
+      se_plain.se_reduce = random_values(static_cast<std::size_t>(out) * in, rng);
+      se_plain.se_reduce_bias = random_values(static_cast<std::size_t>(out), rng);
+      se_plain.se_expand = random_values(static_cast<std::size_t>(in) * out, rng);
+      se_plain.se_expand_bias = random_values(static_cast<std::size_t>(in), rng);
+      LayerWeights se_packed = se_plain;
+      se_packed.se_reduce = pack_panels(se_plain.se_reduce, out, static_cast<std::size_t>(in));
+      se_packed.se_expand = pack_panels(se_plain.se_expand, in, static_cast<std::size_t>(out));
+      std::vector<double> sums(static_cast<std::size_t>(in));
+      for (double& s : sums) s = rng.uniform(-20.0, 20.0);
+      const auto count = rng.uniform_int(1, 40);
+      const std::vector<float> got = se_gate(se, se_packed, sums, count);
+      const std::vector<float> want = oracle::se_gate(se, se_plain, sums, count);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[c]), std::bit_cast<std::uint32_t>(want[c]))
+            << "se_gate out=" << out << " in=" << in << " channel " << c << ": " << got[c]
+            << " vs " << want[c];
+      }
+    }
+  }
+}
+
 // ---- the window check ------------------------------------------------------
 
 RowWindow window_rows(const Tensor& full, int lo, int hi) {
@@ -485,9 +611,9 @@ TEST(WindowCheck, KernelsThrowOnMissingRowAndAcceptPaddingOnlyGaps) {
   Layer pool = dw;
   pool.kind = LayerKind::kMaxPool2D;
   LayerWeights cw;
-  cw.conv = Tensor::random(dnn::Shape{1, 1, 3 * 2 * 9}, rng);
+  cw.conv = pack_panels(random_values(3 * 2 * 9, rng), 3, 2 * 9);
   LayerWeights dww;
-  dww.conv = Tensor::random(dnn::Shape{1, 1, 2 * 9}, rng);
+  dww.conv = random_values(2 * 9, rng);
 
   auto run_all = [&](const RowWindow& w, int ob, int oe) {
     conv2d_rows(conv, w, cw, ob, oe);
@@ -514,7 +640,7 @@ TEST(WindowCheck, KernelsThrowOnMissingRowAndAcceptPaddingOnlyGaps) {
   Layer pointwise = conv_layer(2, 3, 1, 1, true);
   pointwise.output = dnn::Shape{3, 8, 5};
   LayerWeights pw;
-  pw.conv = Tensor::random(dnn::Shape{1, 1, 3 * 2}, rng);
+  pw.conv = pack_panels(random_values(3 * 2, rng), 3, 2);
   EXPECT_NO_THROW(conv2d_rows(pointwise, window_rows(full, 2, 5), pw, 2, 5));
   EXPECT_THROW(conv2d_rows(pointwise, window_rows(full, 2, 5), pw, 2, 6), std::logic_error);
 }
