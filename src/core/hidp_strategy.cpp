@@ -21,8 +21,7 @@ HidpStrategy::HidpStrategy(Options options)
       options_(std::move(options)),
       global_(DseAgent{options_.dse}),
       pipeline_planner_(options_.dse),
-      rng_(options_.seed),
-      last_fsm_(std::make_unique<RuntimeSchedulerFsm>(FsmRole::kLeader)) {}
+      rng_(options_.seed) {}
 
 partition::ClusterCostModel& HidpStrategy::cost_model(const dnn::DnnGraph& model,
                                                       const runtime::ClusterSnapshot& snap,
@@ -130,9 +129,9 @@ void HidpStrategy::on_planned(const runtime::PlanRequest& request, const runtime
   (void)cache_hit;
   if (decision != nullptr) last_decision_ = *decision;
   // Drive the paper's FSM for this planning round (trace for tests/examples).
-  last_fsm_ = std::make_unique<RuntimeSchedulerFsm>(FsmRole::kLeader);
-  last_fsm_->run_leader_round(request.snapshot.now_s, analyze_s, plan.phases.explore_s,
-                              plan.phases.map_s, plan.predicted_latency_s);
+  last_fsm_.restart();
+  last_fsm_.run_leader_round(request.snapshot.now_s, analyze_s, plan.phases.explore_s,
+                             plan.phases.map_s, plan.predicted_latency_s);
 }
 
 }  // namespace hidp::core

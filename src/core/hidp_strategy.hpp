@@ -71,7 +71,7 @@ class HidpStrategy : public CachingStrategyBase {
 
   /// DSE outcome and FSM trace of the most recent plan() call.
   const GlobalDecision& last_decision() const noexcept { return last_decision_; }
-  const RuntimeSchedulerFsm& last_fsm() const noexcept { return *last_fsm_; }
+  const RuntimeSchedulerFsm& last_fsm() const noexcept { return last_fsm_; }
 
   /// Granular invalidation counters (tests pin which cluster edits bump
   /// which): full cost-model rebuilds (compute changes) vs in-place
@@ -143,7 +143,7 @@ class HidpStrategy : public CachingStrategyBase {
   PipelinePlanner pipeline_planner_;
   util::Rng rng_;
   GlobalDecision last_decision_;
-  std::unique_ptr<RuntimeSchedulerFsm> last_fsm_;
+  RuntimeSchedulerFsm last_fsm_{FsmRole::kLeader};
   std::uint64_t network_version_ = 0;
   std::uint64_t cost_model_rebuilds_ = 0;
   std::uint64_t network_repricings_ = 0;

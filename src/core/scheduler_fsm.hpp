@@ -40,6 +40,13 @@ class RuntimeSchedulerFsm {
   /// transition for this role.
   void transition(FsmState next, double at_s);
 
+  /// Back to Analyze with an empty trace, keeping the trace's storage (the
+  /// strategy restarts one FSM per planning round).
+  void restart() noexcept {
+    state_ = FsmState::kAnalyze;
+    trace_.clear();
+  }
+
   /// True if `from -> to` is legal for `role`.
   static bool legal(FsmRole role, FsmState from, FsmState to) noexcept;
 

@@ -9,7 +9,9 @@
 
 namespace hidp::runtime {
 
-/// Per-request execution state shared by task-completion callbacks.
+/// Per-request execution state. Every pending start, resource, transfer and
+/// exchange callback of a run holds it by shared_ptr, and nothing it owns
+/// refers back to it, so it is freed with the last of those callbacks.
 struct ExecutionEngine::RequestRun {
   Plan plan;
   /// The NetworkSpec the plan was priced against — the expectation the
@@ -17,7 +19,7 @@ struct ExecutionEngine::RequestRun {
   net::NetworkSpec planned_network;
   std::vector<int> pending_deps;             ///< per task
   std::vector<std::vector<int>> dependents;  ///< reverse edges
-  std::vector<char> task_done;               ///< per task, set on completion
+  std::vector<char> finished;                ///< per task, set on completion
   int remaining = 0;
   RequestRecord* record = nullptr;
   int request_id = 0;
@@ -45,18 +47,10 @@ struct ExecutionEngine::RequestRun {
   }
   /// Node churn killed this run: late resource callbacks become no-ops.
   bool failed = false;
-  /// Resource/transfer callbacks submitted but not fired yet. A failed
-  /// run's state is reclaimed once the last one drains.
-  int outstanding = 0;
-  bool released = false;
-  // The event-driven topological executor; held here so the failure path
-  // can break the run <-> callback capture cycle.
-  std::shared_ptr<std::function<void(int)>> on_done_fn;
-  std::shared_ptr<std::function<void(int)>> start_task_fn;
 
   /// True when task `i` has unfinished business on `node`.
   bool task_touches(std::size_t i, std::size_t node) const {
-    if (task_done[i]) return false;
+    if (finished[i]) return false;
     const PlanTask& task = plan.tasks[i];
     if (task.kind == PlanTask::Kind::kTransfer) return task.from == node || task.to == node;
     return task.node == node;
@@ -70,7 +64,7 @@ struct ExecutionEngine::RequestRun {
   /// True when any unfinished transfer of this run crosses the (a, b) link.
   bool touches_link(std::size_t a, std::size_t b) const {
     for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
-      if (task_done[i]) continue;
+      if (finished[i]) continue;
       const PlanTask& task = plan.tasks[i];
       if (task.kind != PlanTask::Kind::kTransfer) continue;
       if ((task.from == a && task.to == b) || (task.from == b && task.to == a)) return true;
@@ -378,7 +372,6 @@ bool ExecutionEngine::try_join(std::uint64_t group, const RequestSpec& spec,
   // started and nothing is outstanding — the pending start event no-ops.
   old_run->superseded = true;
   unregister(old_run.get());
-  maybe_release(old_run);
   std::function<void()> done = std::move(old_run->done);
   std::function<void()> on_failed = std::move(old_run->on_failed);
   old_run->done = nullptr;
@@ -457,13 +450,13 @@ void ExecutionEngine::fail_run(const std::shared_ptr<RequestRun>& run) {
   // Preemptible reservations: release the unexecuted remainder of every
   // compute slot this run holds, at the failure instant — retries and
   // unrelated requests no longer queue behind dead work until its scheduled
-  // end. The baked completion events drain through drain_if_failed.
+  // end. The baked completion events still fire and see `failed`.
   for (const RequestRun::ComputeJob& job : run->compute_jobs) {
     cluster().processor(job.node, job.proc).cancel(job.job, now);
   }
   double flops = 0.0;
   for (std::size_t i = 0; i < run->plan.tasks.size(); ++i) {
-    if (run->task_done[i]) flops += run->plan.tasks[i].flops;  // partial work
+    if (run->finished[i]) flops += run->plan.tasks[i].flops;  // partial work
   }
   if (run->member_records.empty()) {
     RequestRecord& record = *run->record;
@@ -483,42 +476,12 @@ void ExecutionEngine::fail_run(const std::shared_ptr<RequestRun>& run) {
     groups_.erase(run->group);
   }
   unregister(run.get());
-  maybe_release(run);
   // Exactly one of on_failed / done fires; clear both against re-entry.
   std::function<void()> callback =
       run->on_failed ? std::move(run->on_failed) : std::move(run->done);
   run->on_failed = nullptr;
   run->done = nullptr;
   if (callback) callback();
-}
-
-void ExecutionEngine::release_run(const std::shared_ptr<RequestRun>& run) {
-  // Break the on_done <-> start_task capture cycle so the request state is
-  // reclaimed (long streaming benches run thousands of requests). Deferred
-  // by one zero-delay event: the functions may be executing right now.
-  cluster().simulator().schedule_in(0.0, [run] {
-    if (run->on_done_fn) *run->on_done_fn = nullptr;
-    if (run->start_task_fn) *run->start_task_fn = nullptr;
-    run->on_done_fn.reset();
-    run->start_task_fn.reset();
-  });
-}
-
-void ExecutionEngine::maybe_release(const std::shared_ptr<RequestRun>& run) {
-  if (run->outstanding == 0 && !run->released) {
-    run->released = true;
-    release_run(run);
-  }
-}
-
-bool ExecutionEngine::drain_if_failed(const std::shared_ptr<RequestRun>& run) {
-  // Shared epilogue of every resource/transfer/exchange callback: account
-  // the drained callback, and swallow it when churn already failed the run
-  // (releasing the run's state once the last one lands).
-  --run->outstanding;
-  if (!run->failed) return false;
-  maybe_release(run);
-  return true;
 }
 
 void ExecutionEngine::dispatch_plan(int request_id, Plan&& plan,
@@ -539,7 +502,7 @@ void ExecutionEngine::launch_run(const std::shared_ptr<RequestRun>& run, double 
   const std::size_t n = run->plan.tasks.size();
   run->pending_deps.resize(n, 0);
   run->dependents.resize(n);
-  run->task_done.assign(n, 0);
+  run->finished.assign(n, 0);
   run->remaining = static_cast<int>(n);
   for (std::size_t i = 0; i < n; ++i) {
     run->pending_deps[i] = static_cast<int>(run->plan.tasks[i].deps.size());
@@ -555,143 +518,135 @@ void ExecutionEngine::launch_run(const std::shared_ptr<RequestRun>& run, double 
   }
   active_.push_back(run);
 
-  // start_task / on_done form the event-driven topological execution.
-  auto on_done = std::make_shared<std::function<void(int)>>();
-  auto start_task = std::make_shared<std::function<void(int)>>();
-  run->on_done_fn = on_done;
-  run->start_task_fn = start_task;
-
-  *on_done = [this, run, on_done, start_task](int index) {
-    if (run->failed) return;
-    run->task_done[static_cast<std::size_t>(index)] = 1;
-    for (int dep : run->dependents[static_cast<std::size_t>(index)]) {
-      if (--run->pending_deps[static_cast<std::size_t>(dep)] == 0) (*start_task)(dep);
-    }
-    if (--run->remaining == 0) {
-      const double finish = cluster().simulator().now();
-      double flops = 0.0;
-      for (const PlanTask& t : run->plan.tasks) flops += t.flops;
-      if (run->member_records.empty()) {
-        run->record->finish_s = finish;
-        run->record->flops = flops;
-        finalize_record(*run->record);
-        --in_flight_;
-      } else {
-        // One planned run fans out N terminal outcomes: every member is
-        // stamped individually (its own deadline decides completed vs
-        // missed), the executed FLOPs are shared evenly.
-        const double share = flops / static_cast<double>(run->member_records.size());
-        for (RequestRecord* record : run->member_records) {
-          record->finish_s = finish;
-          record->flops = share;
-          finalize_record(*record);
-        }
-        in_flight_ -= static_cast<int>(run->member_records.size());
-        groups_.erase(run->group);
-      }
-      unregister(run.get());
-      maybe_release(run);  // outstanding is 0: the last callback just drained
-      run->on_failed = nullptr;
-      if (run->done) run->done();
-    }
-  };
-
-  *start_task = [this, run, on_done](int index) {
-    if (run->failed) return;
-    const PlanTask& task = run->plan.tasks[static_cast<std::size_t>(index)];
-    // A node named by the plan may have died since planning (stale plan, or
-    // churn during the FSM phase delay): fail the request now instead of
-    // executing on a ghost (compute) or throwing (transfer).
-    const auto& available = cluster().network().availability();
-    const bool task_nodes_up = task.kind == PlanTask::Kind::kTransfer
-                                   ? available[task.from] && available[task.to]
-                                   : available[task.node];
-    if (!task_nodes_up) {
-      fail_run(run);
-      return;
-    }
-    const double now = cluster().simulator().now();
-    switch (task.kind) {
-      case PlanTask::Kind::kCompute: {
-        sim::Resource& proc = cluster().processor(task.node, task.proc);
-        const double begin = proc.next_free(now);
-        ++run->outstanding;
-        const std::uint64_t job =
-            proc.submit(now, task.seconds, [this, run, on_done, index, task, begin](sim::Time end) {
-              if (drain_if_failed(run)) return;
-              record_trace(TaskTrace{run->request_id, task.kind, task.node, task.proc, begin,
-                                     end, task.flops, 0, run->batch()});
-              (*on_done)(index);
-            });
-        run->compute_jobs.push_back(RequestRun::ComputeJob{task.node, task.proc, job});
-        break;
-      }
-      case PlanTask::Kind::kTransfer: {
-        // The link may have partitioned since planning: fail the request
-        // into the replan path instead of throwing out of the DES.
-        if (task.from != task.to && !cluster().network().spec().link_up(task.from, task.to)) {
-          fail_run(run);
-          return;
-        }
-        double timeout_s = 0.0;
-        if (transfer_timeout_factor_ > 0.0 && task.from != task.to) {
-          const double expected =
-              run->planned_network.link(task.from, task.to).transfer_s(task.bytes);
-          if (std::isfinite(expected)) timeout_s = expected * transfer_timeout_factor_;
-          // The link degraded past the watchdog budget since planning: the
-          // transfer would only time out, holding both radios (and fencing
-          // every transfer queued behind them) until it does. Fail the run
-          // into the replan path now.
-          if (timeout_s > 0.0 &&
-              cluster().network().spec().link(task.from, task.to).transfer_s(task.bytes) >
-                  timeout_s) {
-            fail_run(run);
-            return;
-          }
-        }
-        ++run->outstanding;
-        cluster().network().transfer(
-            task.from, task.to, task.bytes, now,
-            [this, run, on_done, index, task, now](sim::Time end) {
-              if (drain_if_failed(run)) return;
-              record_trace(TaskTrace{run->request_id, task.kind, task.from, 0, now, end, 0.0,
-                                     task.bytes, run->batch()});
-              (*on_done)(index);
-            },
-            [this, run](const net::TransferAbort&) {
-              // The abort replaces this transfer's delivery callback: drain
-              // it, then fail the run (unless churn got there first).
-              if (drain_if_failed(run)) return;
-              fail_run(run);
-            },
-            timeout_s);
-        break;
-      }
-      case PlanTask::Kind::kLocalExchange: {
-        const double duration = cluster().nodes()[task.node].local_exchange_s(task.bytes);
-        ++run->outstanding;
-        cluster().simulator().schedule_in(
-            duration, [this, run, on_done, index, task, now, duration] {
-              if (drain_if_failed(run)) return;
-              record_trace(TaskTrace{run->request_id, task.kind, task.node, 0, now,
-                                     now + duration, 0.0, task.bytes, run->batch()});
-              (*on_done)(index);
-            });
-        break;
-      }
-    }
-  };
-
-  cluster().simulator().schedule_at(start_s, [this, run, start_task] {
+  cluster().simulator().schedule_at(start_s, [this, run] {
     if (run->superseded) return;  // a try_join replanned this group
     // The FSM-phase window closes here: once tasks start executing, the
     // group can no longer absorb joins.
     if (run->group != 0) groups_.erase(run->group);
     for (std::size_t i = 0; i < run->plan.tasks.size(); ++i) {
       if (run->failed) return;
-      if (run->pending_deps[i] == 0) (*start_task)(static_cast<int>(i));
+      if (run->pending_deps[i] == 0) start_task(run, static_cast<int>(i));
     }
   });
+}
+
+void ExecutionEngine::task_done(const std::shared_ptr<RequestRun>& run, int index) {
+  if (run->failed) return;
+  run->finished[static_cast<std::size_t>(index)] = 1;
+  for (int dep : run->dependents[static_cast<std::size_t>(index)]) {
+    if (--run->pending_deps[static_cast<std::size_t>(dep)] == 0) start_task(run, dep);
+  }
+  if (--run->remaining != 0) return;
+  const double finish = cluster().simulator().now();
+  double flops = 0.0;
+  for (const PlanTask& t : run->plan.tasks) flops += t.flops;
+  if (run->member_records.empty()) {
+    run->record->finish_s = finish;
+    run->record->flops = flops;
+    finalize_record(*run->record);
+    --in_flight_;
+  } else {
+    // One planned run fans out N terminal outcomes: every member is
+    // stamped individually (its own deadline decides completed vs missed),
+    // the executed FLOPs are shared evenly.
+    const double share = flops / static_cast<double>(run->member_records.size());
+    for (RequestRecord* record : run->member_records) {
+      record->finish_s = finish;
+      record->flops = share;
+      finalize_record(*record);
+    }
+    in_flight_ -= static_cast<int>(run->member_records.size());
+    groups_.erase(run->group);
+  }
+  unregister(run.get());
+  run->on_failed = nullptr;
+  if (run->done) run->done();
+}
+
+void ExecutionEngine::start_task(const std::shared_ptr<RequestRun>& run, int index) {
+  if (run->failed) return;
+  const PlanTask& task = run->plan.tasks[static_cast<std::size_t>(index)];
+  // A node named by the plan may have died since planning (stale plan, or
+  // churn during the FSM phase delay): fail the request now instead of
+  // executing on a ghost (compute) or throwing (transfer).
+  const auto& available = cluster().network().availability();
+  const bool task_nodes_up = task.kind == PlanTask::Kind::kTransfer
+                                 ? available[task.from] && available[task.to]
+                                 : available[task.node];
+  if (!task_nodes_up) {
+    fail_run(run);
+    return;
+  }
+  // Completion callbacks look the task up by index: the plan is immutable
+  // once launched, and a PlanTask copy would copy its deps vector too.
+  const double now = cluster().simulator().now();
+  switch (task.kind) {
+    case PlanTask::Kind::kCompute: {
+      sim::Resource& proc = cluster().processor(task.node, task.proc);
+      const double begin = proc.next_free(now);
+      const std::uint64_t job =
+          proc.submit(now, task.seconds, [this, run, index, begin](sim::Time end) {
+            if (run->failed) return;
+            const PlanTask& t = run->plan.tasks[static_cast<std::size_t>(index)];
+            record_trace(TaskTrace{run->request_id, t.kind, t.node, t.proc, begin, end,
+                                   t.flops, 0, run->batch()});
+            task_done(run, index);
+          });
+      run->compute_jobs.push_back(RequestRun::ComputeJob{task.node, task.proc, job});
+      break;
+    }
+    case PlanTask::Kind::kTransfer: {
+      // The link may have partitioned since planning: fail the request
+      // into the replan path instead of throwing out of the DES.
+      if (task.from != task.to && !cluster().network().spec().link_up(task.from, task.to)) {
+        fail_run(run);
+        return;
+      }
+      double timeout_s = 0.0;
+      if (transfer_timeout_factor_ > 0.0 && task.from != task.to) {
+        const double expected =
+            run->planned_network.link(task.from, task.to).transfer_s(task.bytes);
+        if (std::isfinite(expected)) timeout_s = expected * transfer_timeout_factor_;
+        // The link degraded past the watchdog budget since planning: the
+        // transfer would only time out, holding both radios (and fencing
+        // every transfer queued behind them) until it does. Fail the run
+        // into the replan path now.
+        if (timeout_s > 0.0 &&
+            cluster().network().spec().link(task.from, task.to).transfer_s(task.bytes) >
+                timeout_s) {
+          fail_run(run);
+          return;
+        }
+      }
+      cluster().network().transfer(
+          task.from, task.to, task.bytes, now,
+          [this, run, index, now](sim::Time end) {
+            if (run->failed) return;
+            const PlanTask& t = run->plan.tasks[static_cast<std::size_t>(index)];
+            record_trace(TaskTrace{run->request_id, t.kind, t.from, 0, now, end, 0.0, t.bytes,
+                                   run->batch()});
+            task_done(run, index);
+          },
+          [this, run](const net::TransferAbort&) {
+            // The abort replaces this transfer's delivery callback: fail
+            // the run (unless churn got there first).
+            if (!run->failed) fail_run(run);
+          },
+          timeout_s);
+      break;
+    }
+    case PlanTask::Kind::kLocalExchange: {
+      const double duration = cluster().nodes()[task.node].local_exchange_s(task.bytes);
+      cluster().simulator().schedule_in(duration, [this, run, index, now, duration] {
+        if (run->failed) return;
+        const PlanTask& t = run->plan.tasks[static_cast<std::size_t>(index)];
+        record_trace(TaskTrace{run->request_id, t.kind, t.node, 0, now, now + duration, 0.0,
+                               t.bytes, run->batch()});
+        task_done(run, index);
+      });
+      break;
+    }
+  }
 }
 
 }  // namespace hidp::runtime

@@ -327,10 +327,15 @@ class ExecutionEngine {
   Plan plan_batch(const dnn::DnnGraph& model, QosClass qos, double deadline_s, int batch,
                   int queued_behind, net::NetworkSpec* network_out,
                   PlanRequest::PlanKind kind = PlanRequest::PlanKind::kLatency);
-  /// Builds the dep graph + topological-executor closures for `run` and
-  /// schedules its start — the shared back half of dispatch_plan() and the
-  /// group dispatch path.
+  /// Builds the dep graph for `run` and schedules its start — the shared
+  /// back half of dispatch_plan() and the group dispatch path.
   void launch_run(const std::shared_ptr<RequestRun>& run, double start_s);
+  /// The event-driven topological executor: start_task issues task `index`
+  /// onto its processor, radio pair or local exchange; its completion
+  /// callback calls task_done, which starts the dependents it unblocks and
+  /// finishes the run after its last task.
+  void start_task(const std::shared_ptr<RequestRun>& run, int index);
+  void task_done(const std::shared_ptr<RequestRun>& run, int index);
   void record_trace(const TaskTrace& trace);
   /// Stamps the terminal outcome once `finish_s` is known.
   static void finalize_record(RequestRecord& record);
@@ -347,13 +352,6 @@ class ExecutionEngine {
   /// Fails one active run (must still be registered in active_).
   void fail_run(const std::shared_ptr<RequestRun>& run);
   void unregister(const RequestRun* run);
-  /// Breaks a finished/drained run's callback capture cycle (deferred).
-  void release_run(const std::shared_ptr<RequestRun>& run);
-  /// release_run once a failed run's last outstanding callback drained.
-  void maybe_release(const std::shared_ptr<RequestRun>& run);
-  /// Callback epilogue: drains one outstanding callback; true = the run
-  /// already failed and the caller should swallow the completion.
-  bool drain_if_failed(const std::shared_ptr<RequestRun>& run);
 
   ClusterView scope_;
   IStrategy* strategy_;

@@ -237,9 +237,10 @@ void Gateway::driver_loop() {
   sim.set_pump([this] { return pump(); });
   sim.run();
   sim.set_pump(nullptr);
-  // The last terminal outcomes leave zero-delay events behind (the engine
-  // defers breaking each finished run's callback cycle by one event); run
-  // them, or those runs leak.
+  // Run whatever is already due when the pump stopped the loop, so stop()
+  // leaves no event at or before the stop instant unexecuted. This no
+  // longer guards a leak: a finished run is freed with its last callback,
+  // and pending events release their captures with the simulator.
   sim.run_until(sim.now());
   sim.set_clock(nullptr);  // back to the owned VirtualClock (pure DES)
 }

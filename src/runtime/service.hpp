@@ -37,7 +37,10 @@ namespace hidp::runtime {
 /// nullopt — at startup and again after every terminal request outcome —
 /// so open-loop sources (replayed traces, Poisson processes) can hand over
 /// their whole stream up front, while closed-loop sources (client pools)
-/// release the next request only when a completion frees a client.
+/// release the next request only when a completion frees a client. Handing
+/// over a whole stream is cheap: arrivals in time order land in the
+/// simulator's monotone lane (O(1) per push and pop), not in the heap that
+/// orders in-flight work.
 class ArrivalProcess {
  public:
   virtual ~ArrivalProcess() = default;

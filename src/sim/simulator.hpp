@@ -5,6 +5,18 @@
 // events. Determinism is guaranteed by a (time, sequence) ordered queue, so
 // two events at the same timestamp fire in scheduling order.
 //
+// The queue has two lanes. The monotone lane is a FIFO ring of events
+// whose times never decrease: an event joins it when its time is >= the
+// time of the ring's newest event (or the ring is empty). Every other
+// event goes to a binary heap. Both lanes are ordered by (time, sequence)
+// — the ring by construction, because sequence numbers only grow — so
+// popping the smaller of the two fronts yields exactly the order of one
+// priority queue, and the contract above is unchanged. Pre-scheduled
+// open-loop streams (a replayed trace handed over at t = 0) sit in the
+// ring at O(1) per push and pop, and the heap holds only in-flight work.
+// Events are moved out of either lane, never copied, and the ring reuses
+// the slots it has consumed.
+//
 // Time itself is split behind the Clock interface (clock.hpp). Under the
 // default VirtualClock the simulator is the classic DES — time jumps to the
 // next event, run() drains the queue, and behaviour is bit-identical to the
@@ -20,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -86,7 +97,11 @@ class Simulator {
   std::uint64_t events_executed() const noexcept { return executed_; }
 
   /// Number of pending events.
-  std::size_t pending() const noexcept { return queue_.size(); }
+  std::size_t pending() const noexcept { return heap_.size() + lane_size_; }
+
+  /// Slots the monotone lane currently retains (its ring capacity). The
+  /// ring doubles when full and never shrinks; consumed slots are reused.
+  std::size_t lane_capacity() const noexcept { return lane_.size(); }
 
  private:
   struct Event {
@@ -101,6 +116,13 @@ class Simulator {
     }
   };
 
+  bool empty() const noexcept { return heap_.empty() && lane_size_ == 0; }
+  /// True when the lane's head precedes the heap's top (lane non-empty).
+  bool lane_first() const noexcept;
+  /// Timestamp of the earliest pending event; the queue must be non-empty.
+  Time next_time() const noexcept;
+  void push_lane(Event&& event);
+  Event pop_next();
   bool pop_and_run();
 
   /// Maximum idle block in run() when a pump is installed and the queue is
@@ -111,7 +133,13 @@ class Simulator {
   Time now_ = 0.0;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Event> heap_;  ///< binary min-heap by (at, id) under Later
+  /// The monotone lane: a ring of lane_.size() slots (0 or a power of two)
+  /// holding lane_size_ events from lane_head_ on, in (at, id) order.
+  std::vector<Event> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  Time lane_back_at_ = 0.0;  ///< time of the lane's newest event
   VirtualClock virtual_clock_;  ///< default pacing: the classic DES
   Clock* clock_ = &virtual_clock_;
   std::function<bool()> pump_;

@@ -1,6 +1,8 @@
 // Execution engine: dispatch, contention, FSM phase charging, traces.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "dnn/zoo/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/workload.hpp"
@@ -54,6 +56,29 @@ TEST(Engine, SingleRequestLatency) {
   EXPECT_DOUBLE_EQ(records[0].latency_s(), 0.5);
   EXPECT_EQ(records[0].outcome, RequestOutcome::kCompleted);
   EXPECT_DOUBLE_EQ(engine.makespan_s(), 1.5);
+}
+
+TEST(Engine, FinishedRunIsFreedWhenThePumpStopsTheLoop) {
+  // A driver may stop Simulator::run() from its pump the moment the last
+  // terminal outcome fires (the gateway does). Nothing of the finished run
+  // — here, its `done` callback's captures — may outlive that moment.
+  Cluster cluster(platform::paper_cluster(2));
+  FixedStrategy strategy(0.5, 0.1, 3);
+  ExecutionEngine engine(cluster, strategy, 0);
+  dnn::DnnGraph model = dnn::zoo::build_efficientnet_b0(32, 4);
+  RequestRecord record;
+  bool done = false;
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  engine.execute(RequestSpec{0, &model, 0.0}, record, /*queued_behind=*/0,
+                 [&done, held = std::move(sentinel)] { done = true; });
+  sim::Simulator& sim = cluster.simulator();
+  sim.set_pump([&done] { return !done; });
+  sim.run();
+  sim.set_pump(nullptr);
+  ASSERT_TRUE(done);
+  EXPECT_DOUBLE_EQ(record.finish_s, 1.6);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(Engine, PhasesDelayDispatch) {

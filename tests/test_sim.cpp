@@ -1,6 +1,11 @@
 // Unit tests for the discrete-event simulator and FIFO resources.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <random>
+
+#include "oracle_event_queue.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 
@@ -124,6 +129,136 @@ TEST(Simulator, ExplicitVirtualClockMatchesDefaultTimeline) {
   sim.schedule_in(0.25, [&] { fired.push_back(sim.now()); });
   sim.run();
   EXPECT_DOUBLE_EQ(sim.now(), 1.5);
+}
+
+/// Drives a Simulator and the single-queue oracle through one seeded
+/// program — monotone bursts, equal timestamps, times in the past, events
+/// scheduling events, step() and run_until() — and checks that every event
+/// fires in the oracle's order at the oracle's time, and that pending()
+/// and next_event_at() agree after every operation.
+class QueueAgainstOracle {
+ public:
+  explicit QueueAgainstOracle(std::uint64_t seed) : rng_(seed) {}
+
+  void run_program(int operations) {
+    for (int op = 0; op < operations; ++op) {
+      switch (draw(6)) {
+        case 0: {  // monotone burst, steps of 0, 0.25 or 0.5 s
+          double at = sim_.now() + grid(16);
+          for (std::uint64_t k = 1 + draw(32); k > 0; --k) {
+            schedule(at, 0);
+            at += grid(3);
+          }
+          break;
+        }
+        case 1: {  // simultaneous events
+          const double at = sim_.now() + grid(16);
+          for (std::uint64_t k = 1 + draw(8); k > 0; --k) schedule(at, 0);
+          break;
+        }
+        case 2:  // scattered, some in the past (clamped to now)
+          for (std::uint64_t k = 1 + draw(8); k > 0; --k) {
+            schedule(sim_.now() + grid(32) - 2.0, 0);
+          }
+          break;
+        case 3:
+          EXPECT_EQ(sim_.step(), !oracle_.empty());
+          break;
+        case 4: {  // run_until, often exactly at a pending event's time
+          double deadline = sim_.now() + grid(8);
+          if (const auto next = oracle_.next_at(); next && draw(2) == 0) deadline = *next;
+          sim_.run_until(deadline);
+          if (const auto next = oracle_.next_at()) {
+            EXPECT_GT(*next, deadline);
+          }
+          break;
+        }
+        default:  // everything due now, including zero-delay children
+          sim_.run_until(sim_.now());
+          if (const auto next = oracle_.next_at()) {
+            EXPECT_GT(*next, sim_.now());
+          }
+          break;
+      }
+      ASSERT_EQ(sim_.now(), oracle_.now());
+      ASSERT_EQ(sim_.pending(), oracle_.size());
+      ASSERT_EQ(sim_.next_event_at(), oracle_.next_at());
+    }
+    sim_.run();
+    EXPECT_TRUE(oracle_.empty());
+    EXPECT_EQ(sim_.events_executed(), fired_);
+  }
+
+ private:
+  std::uint64_t draw(std::uint64_t n) { return rng_() % n; }
+  /// Times on a 0.25 s grid, so equal timestamps are common.
+  double grid(std::uint64_t n) { return 0.25 * static_cast<double>(draw(n)); }
+
+  void schedule(double at, int depth) {
+    const std::uint64_t id = oracle_.schedule_at(at);
+    EXPECT_EQ(sim_.schedule_at(at, [this, id, depth] { fire(id, depth); }), id);
+  }
+
+  void fire(std::uint64_t id, int depth) {
+    ++fired_;
+    const auto [at, expected] = oracle_.pop();
+    EXPECT_EQ(id, expected);
+    EXPECT_EQ(sim_.now(), at);
+    if (depth == 3) return;
+    for (std::uint64_t k = draw(4); k > 0; --k) {
+      switch (draw(3)) {
+        case 0: schedule(sim_.now(), depth + 1); break;              // same instant
+        case 1: schedule(sim_.now() + grid(8), depth + 1); break;    // ahead
+        default: schedule(sim_.now() - grid(8), depth + 1); break;   // past
+      }
+    }
+  }
+
+  std::mt19937_64 rng_;
+  Simulator sim_;
+  oracle::EventQueue oracle_;
+  std::uint64_t fired_ = 0;
+};
+
+TEST(Simulator, TwoLaneQueueMatchesSingleQueueOracle) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    QueueAgainstOracle(seed).run_program(300);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Simulator, MonotoneLaneReusesItsSlots) {
+  // Under a WallClock nearly every event is monotone, so the lane carries
+  // the whole stream: it must reuse the slots it has consumed, not grow.
+  Simulator sim;
+  constexpr std::size_t kInFlight = 8;
+  for (std::size_t i = 0; i < kInFlight; ++i) sim.schedule_in(1.0, [] {});
+  const std::size_t capacity = sim.lane_capacity();
+  EXPECT_GE(capacity, kInFlight + 1);
+  for (int i = 0; i < 100000; ++i) {
+    sim.schedule_in(1.0, [] {});
+    ASSERT_TRUE(sim.step());
+  }
+  EXPECT_EQ(sim.lane_capacity(), capacity);
+  EXPECT_EQ(sim.pending(), kInFlight);
+  EXPECT_EQ(sim.events_executed(), 100000u);
+}
+
+TEST(Simulator, ExecutedEventsReleaseTheirCaptures) {
+  // Both lanes: a monotone event and one that lands behind it in the heap.
+  Simulator sim;
+  auto lane_held = std::make_shared<int>(0);
+  auto heap_held = std::make_shared<int>(0);
+  const std::weak_ptr<int> lane_watch = lane_held;
+  const std::weak_ptr<int> heap_watch = heap_held;
+  sim.schedule_at(2.0, [held = std::move(lane_held)] {});
+  sim.schedule_at(1.0, [held = std::move(heap_held)] {});
+  ASSERT_TRUE(sim.step());
+  EXPECT_TRUE(heap_watch.expired());
+  EXPECT_FALSE(lane_watch.expired());
+  ASSERT_TRUE(sim.step());
+  EXPECT_TRUE(lane_watch.expired());
 }
 
 TEST(Resource, SerializesJobs) {
